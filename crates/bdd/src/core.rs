@@ -1,359 +1,263 @@
-//! The concurrent node substrate: a chunked atomic node store, a unique
-//! table and operation caches sharded by hash behind fine-grained locks, and
-//! interruptible recursive kernels that any number of worker threads can run
-//! against the shared tables at once.
+//! The serial node substrate, in the classic CUDD/BuDDy layout: one node
+//! array, per-level unique subtables chained through the nodes, and a
+//! fixed-size lossy computed table shared by the `ite`, `exists` and
+//! `and_exists` kernels.
 //!
-//! Everything here is safe Rust. Concurrency rests on three disciplines:
-//!
-//! * **Append-only node slots.** Node fields live in fixed-size chunks of
-//!   atomics behind [`OnceLock`]s; a slot's fields are written *before* its
-//!   id is published through a unique-table shard, and the shard's mutex
-//!   provides the happens-before edge for every later reader. Slots are
-//!   only recycled by [`gc`](crate::BddManager::gc), which runs quiesced
-//!   (`&mut` access), so concurrent readers never observe reuse.
-//! * **Sharded tables.** The unique table and the three operation caches
-//!   are split into [`SHARDS`] mutex-guarded maps selected by a fixed
-//!   deterministic hash, so concurrent kernels contend only when they touch
-//!   the same shard at the same instant.
-//! * **Cooperative interruption.** Kernels count their steps and poll a
-//!   trip flag every [`CHECK_INTERVAL`] steps; when the pool outgrows the
-//!   configured limit the flag latches, every running kernel unwinds with
-//!   [`Interrupted`], and the manager performs garbage collection and/or
-//!   reordering at the API boundary before retrying — the reentrant
-//!   maintenance that keeps one monster operation from blowing the budget
-//!   between the driver's own checkpoints.
-//!
-//! Canonicity is schedule-independent even though node *ids* are not: the
-//! hash-consing invariant (one live id per `(level, lo, hi)` triple) is
-//! maintained under the shard locks, so equal functions always share an id
-//! within a run, and all extracted artifacts (covers, witnesses, counts) go
-//! through semantics rather than ids.
+//! * **Nodes store their variable, not their level.** A node's level is
+//!   `level_of[var]`, so swapping two adjacent levels relabels nothing that
+//!   keeps its structure: the two subtables trade places and only the nodes
+//!   that must be rewritten are touched ([`Core::swap_adjacent`]).
+//! * **Per-level unique subtables.** Each level hashes `(lo, hi)` into a
+//!   power-of-two bucket array whose chains run through the nodes' `next`
+//!   links. Collection and reordering walk the subtables, never the whole
+//!   array, so both cost O(live + freed); after a collection every
+//!   subtable shrinks to fit its survivors.
+//! * **Lossy computed table.** A direct-mapped power-of-two array grown
+//!   with the pool and reallocated to fit it whenever it is flushed. A
+//!   collision simply overwrites: an evicted result is recomputed, and
+//!   since the recomputation finds its nodes in the unique table it
+//!   allocates nothing new between two collections.
+//! * **Abort and retry.** Kernels count their steps and, every
+//!   [`CHECK_INTERVAL`] steps, compare the pool with the armed live-node
+//!   limit; past it they fail with [`Interrupted`] and unwind to the API
+//!   boundary, where the manager collects (and may sift) before it retries
+//!   the operation — CUDD's reordering-abort discipline.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Terminal node id for the constant 0 function.
+/// Terminal node id for the constant 0 function. Id 0 is also the
+/// end-of-chain marker of the unique subtables: no terminal is ever chained.
 pub(crate) const ZERO: u32 = 0;
 /// Terminal node id for the constant 1 function.
 pub(crate) const ONE: u32 = 1;
-/// Level sentinel marking a pool slot freed by garbage collection (terminal
-/// slots use `u32::MAX`, so the two are never confused).
-pub(crate) const FREE: u32 = u32::MAX - 1;
-/// Level stored in the terminal slots.
-const TERMINAL_LEVEL: u32 = u32::MAX;
-
-/// Node slots per chunk (a power of two; ids split into chunk/offset bits).
-const CHUNK_BITS: usize = 16;
-const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
-/// Chunk-table capacity: 2^31 node slots — far above any budgeted run.
-const MAX_CHUNKS: usize = 1 << 15;
-
-/// Shard count of the unique table and the operation caches. A fixed power
-/// of two: enough to make lock collisions rare at any sane thread count,
-/// small enough that clearing every shard stays cheap.
-pub(crate) const SHARDS: usize = 64;
+/// Variable sentinel marking a slot freed by collection or reordering.
+const FREE: u32 = u32::MAX;
 
 /// Kernel steps (recursive calls that miss the short-circuits, plus node
-/// constructions) between interruption polls. Polling reads two atomics, so
-/// the interval only has to amortise that; it also bounds how far past the
-/// live-node limit one operation can run before maintenance fires.
-pub(crate) const CHECK_INTERVAL: u64 = 1024;
+/// constructions) between two checks of the live-node limit. It bounds how
+/// far past the limit one operation can run before maintenance fires.
+const CHECK_INTERVAL: u64 = 1024;
 
-/// Marker error unwinding an interrupted kernel to the API boundary, where
-/// the manager runs reentrant maintenance and retries.
+/// Smallest bucket array of a unique subtable.
+const MIN_BUCKETS: usize = 16;
+/// Smallest computed table (entries).
+const MIN_CACHE: usize = 1 << 12;
+/// Largest computed table (entries, 20 bytes each).
+const MAX_CACHE: usize = 1 << 20;
+/// Computed-table entries kept per live node: the table doubles once the
+/// pool outgrows `len / CACHE_RATIO`.
+const CACHE_RATIO: usize = 2;
+
+/// Marker error unwinding a kernel that hit the armed live-node limit to
+/// the API boundary, where the manager runs maintenance and retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Interrupted;
 
 pub(crate) type OpResult = Result<u32, Interrupted>;
 
-/// Locks a mutex, ignoring poisoning: the guarded tables are plain maps
-/// whose invariants hold between every two map operations, so a panic in
-/// another thread cannot leave them in a state worth refusing.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// One pool slot: the branch variable, the two children, and the next node
+/// in the same unique-subtable chain.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    var: u32,
+    lo: u32,
+    hi: u32,
+    next: u32,
 }
 
-/// A deterministic multiply-rotate hasher (the rustc-hash construction):
-/// process-independent — unlike `RandomState` — and fast on the small fixed
-/// keys used here. Determinism matters because shard selection and map
-/// behaviour must be identical across runs for reproducible performance,
-/// even though no hash order ever reaches an output.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
+/// One level's unique subtable: chain heads indexed by the top bits of the
+/// `(lo, hi)` hash.
+#[derive(Debug, Clone)]
+struct Subtable {
+    buckets: Vec<u32>,
+    shift: u32,
+    count: usize,
 }
 
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// Shard index of a three-word key.
-#[inline]
-fn shard3(a: u32, b: u32, c: u32) -> usize {
-    let mut h = FxHasher::default();
-    h.write_u32(a);
-    h.write_u32(b);
-    h.write_u32(c);
-    ((h.finish() >> 32) as usize) & (SHARDS - 1)
-}
-
-/// Shard index of a two-word key.
-#[inline]
-fn shard2(a: u32, b: u32) -> usize {
-    let mut h = FxHasher::default();
-    h.write_u32(a);
-    h.write_u32(b);
-    ((h.finish() >> 32) as usize) & (SHARDS - 1)
-}
-
-/// One fixed-size block of node slots. `level` and the packed `(lo, hi)`
-/// pair are atomics so workers can read nodes other workers just published;
-/// slots beyond the allocation high-water mark are never read.
-struct Chunk {
-    level: Box<[AtomicU32]>,
-    kids: Box<[AtomicU64]>,
-}
-
-impl Chunk {
-    fn new() -> Chunk {
-        Chunk {
-            level: (0..CHUNK_SIZE).map(|_| AtomicU32::new(FREE)).collect(),
-            kids: (0..CHUNK_SIZE).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-#[inline]
-fn pack(lo: u32, hi: u32) -> u64 {
-    (lo as u64) | ((hi as u64) << 32)
-}
-
-/// The chunked append-only node store. The chunk table is a fixed array of
-/// [`OnceLock`]s so readers reach any published slot through one atomic
-/// load, with no global lock on the read path; chunks materialise lazily as
-/// the high-water mark crosses them.
-pub(crate) struct NodeStore {
-    chunks: Box<[OnceLock<Chunk>]>,
-    len: AtomicUsize,
-}
-
-impl NodeStore {
-    fn new() -> NodeStore {
-        let store = NodeStore {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicUsize::new(2),
-        };
-        let chunk = store.chunks[0].get_or_init(Chunk::new);
-        chunk.level[ZERO as usize].store(TERMINAL_LEVEL, Ordering::Release);
-        chunk.kids[ZERO as usize].store(pack(0, 0), Ordering::Release);
-        chunk.level[ONE as usize].store(TERMINAL_LEVEL, Ordering::Release);
-        chunk.kids[ONE as usize].store(pack(1, 1), Ordering::Release);
-        store
-    }
-
-    #[inline]
-    fn chunk(&self, id: u32) -> &Chunk {
-        match self.chunks[(id as usize) >> CHUNK_BITS].get() {
-            Some(c) => c,
-            // Ids are only minted by `bump`, which materialises the chunk
-            // before publishing the id.
-            None => unreachable!("node {id} beyond the allocated chunks"),
+impl Subtable {
+    fn with_buckets(len: usize) -> Subtable {
+        Subtable {
+            buckets: vec![ZERO; len],
+            shift: 64 - len.trailing_zeros(),
+            count: 0,
         }
     }
 
-    /// Raw slot read: `(level, lo, hi)` with no liveness check.
     #[inline]
-    pub(crate) fn raw(&self, id: u32) -> (u32, u32, u32) {
-        let chunk = self.chunk(id);
-        let i = (id as usize) & (CHUNK_SIZE - 1);
-        let level = chunk.level[i].load(Ordering::Acquire);
-        let kids = chunk.kids[i].load(Ordering::Acquire);
-        (level, kids as u32, (kids >> 32) as u32)
-    }
-
-    /// The slot's level field alone.
-    #[inline]
-    pub(crate) fn level(&self, id: u32) -> u32 {
-        let chunk = self.chunk(id);
-        chunk.level[(id as usize) & (CHUNK_SIZE - 1)].load(Ordering::Acquire)
-    }
-
-    /// Writes all fields of a slot (children first, then the level, so a
-    /// racing level read never precedes the children becoming visible).
-    #[inline]
-    pub(crate) fn write(&self, id: u32, level: u32, lo: u32, hi: u32) {
-        let chunk = self.chunk(id);
-        let i = (id as usize) & (CHUNK_SIZE - 1);
-        chunk.kids[i].store(pack(lo, hi), Ordering::Release);
-        chunk.level[i].store(level, Ordering::Release);
-    }
-
-    /// Relabels a slot in place (reordering only; quiesced).
-    #[inline]
-    pub(crate) fn set_level(&self, id: u32, level: u32) {
-        let chunk = self.chunk(id);
-        chunk.level[(id as usize) & (CHUNK_SIZE - 1)].store(level, Ordering::Release);
-    }
-
-    /// Allocation high-water mark (terminals included).
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Reserves a fresh slot id at the end, materialising its chunk.
-    fn bump(&self) -> u32 {
-        let id = self.len.fetch_add(1, Ordering::AcqRel);
-        assert!(id < MAX_CHUNKS << CHUNK_BITS, "BDD node store exhausted");
-        let _ = self.chunks[id >> CHUNK_BITS].get_or_init(Chunk::new);
-        id as u32
+    fn bucket(&self, lo: u32, hi: u32) -> usize {
+        let key = ((lo as u64) << 32) | hi as u64;
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 }
 
-/// Per-kernel-invocation state: the step counter driving interruption polls.
-/// Each worker thread carries its own, so polling involves no sharing.
-#[derive(Default)]
-pub(crate) struct OpCtx {
-    steps: u64,
+/// Computed-table operation tags (0 marks an empty slot).
+const OP_ITE: u32 = 1;
+const OP_EXISTS: u32 = 2;
+const OP_AND_EXISTS: u32 = 3;
+
+/// One computed-table slot: `[op, a, b, c, result]`.
+type Entry = [u32; 5];
+
+/// The direct-mapped lossy memo of all three kernels.
+struct ComputedTable {
+    entries: Vec<Entry>,
+    shift: u32,
 }
 
-impl OpCtx {
-    /// One kernel step: every [`CHECK_INTERVAL`] steps, poll the trip flag
-    /// and the live-pool limit, unwinding with [`Interrupted`] when either
-    /// says maintenance is due.
-    #[inline]
-    fn tick(&mut self, core: &Core) -> Result<(), Interrupted> {
-        self.steps += 1;
-        if self.steps.is_multiple_of(CHECK_INTERVAL) && core.poll_trip() {
-            return Err(Interrupted);
+impl ComputedTable {
+    fn with_len(len: usize) -> ComputedTable {
+        ComputedTable {
+            entries: vec![[0; 5]; len],
+            shift: 64 - len.trailing_zeros(),
         }
-        Ok(())
+    }
+
+    /// Table length fitting a pool of `pool` live nodes.
+    fn len_for(pool: usize) -> usize {
+        pool.saturating_mul(CACHE_RATIO)
+            .next_power_of_two()
+            .clamp(MIN_CACHE, MAX_CACHE)
+    }
+
+    #[inline]
+    fn slot(&self, op: u32, a: u32, b: u32, c: u32) -> usize {
+        let h = (a as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((b as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+            .wrapping_add((((op as u64) << 32) | c as u64).wrapping_mul(0x1656_67B1_9E37_79F9));
+        (h >> self.shift) as usize
+    }
+
+    #[inline]
+    fn get(&self, op: u32, a: u32, b: u32, c: u32) -> Option<u32> {
+        let e = &self.entries[self.slot(op, a, b, c)];
+        (e[0] == op && e[1] == a && e[2] == b && e[3] == c).then_some(e[4])
+    }
+
+    #[inline]
+    fn put(&mut self, op: u32, a: u32, b: u32, c: u32, r: u32) {
+        let i = self.slot(op, a, b, c);
+        self.entries[i] = [op, a, b, c, r];
+    }
+
+    /// Rehashes every entry into a table of `len` slots (colliding entries
+    /// are dropped, as any lossy insert would).
+    fn resize(&mut self, len: usize) {
+        let old = std::mem::replace(self, ComputedTable::with_len(len));
+        for e in old.entries {
+            if e[0] != 0 {
+                self.put(e[0], e[1], e[2], e[3], e[4]);
+            }
+        }
     }
 }
 
-/// The sharded concurrent substrate shared by every kernel. All `&self`
-/// methods are safe to call from any number of threads; the `&mut self`
-/// maintenance entry points (collection, reordering, cache clearing) run
-/// quiesced by construction.
+/// The node pool, its unique subtables, the computed table and the
+/// variable order.
 pub(crate) struct Core {
     pub(crate) num_vars: usize,
-    pub(crate) store: NodeStore,
-    unique: Sharded<(u32, u32, u32)>,
-    ite_cache: Sharded<(u32, u32, u32)>,
-    exists_cache: Sharded<(u32, u32)>,
-    and_exists_cache: Sharded<(u32, u32, u32)>,
-    free: Mutex<Vec<u32>>,
-    free_count: AtomicUsize,
-    /// Latched when a checkpoint found the pool above `trip_limit`; every
-    /// kernel unwinds, the manager maintains, then rearms.
-    tripped: AtomicBool,
-    /// Live-pool size above which kernels trip (`usize::MAX` = disabled).
-    trip_limit: AtomicUsize,
-    /// Largest pool size observed at any interruption poll — the mid-op
-    /// allocation peak the between-iteration statistics cannot see.
-    peak_pool: AtomicUsize,
-}
-
-/// A hash-sharded `key → node` map: [`SHARDS`] independently locked
-/// `FxHashMap`s. Two threads contend only when their keys hash into the
-/// same shard.
-type Sharded<K> = Box<[Mutex<FxMap<K, u32>>]>;
-
-fn shard_vec<K, V>() -> Box<[Mutex<FxMap<K, V>>]> {
-    (0..SHARDS).map(|_| Mutex::new(FxMap::default())).collect()
+    nodes: Vec<Node>,
+    /// `level_of[var]` = position of `var` in the order (0 = topmost); one
+    /// extra entry maps the terminals' pseudo-variable `num_vars` to the
+    /// pseudo-level `num_vars` below every real one.
+    level_of: Vec<u32>,
+    /// `var_at[level]` = variable placed at that level.
+    var_at: Vec<u32>,
+    subtables: Vec<Subtable>,
+    free: Vec<u32>,
+    cache: ComputedTable,
+    /// Live-pool size past which a kernel check fails with [`Interrupted`]
+    /// (`usize::MAX` = disarmed).
+    trip_limit: usize,
+    /// Kernel steps since the limit was last armed.
+    steps: u64,
+    /// Largest live-pool size ever reached.
+    peak_pool: usize,
 }
 
 impl Core {
-    pub(crate) fn new(num_vars: usize) -> Core {
-        Core {
-            num_vars,
-            store: NodeStore::new(),
-            unique: shard_vec(),
-            ite_cache: shard_vec(),
-            exists_cache: shard_vec(),
-            and_exists_cache: shard_vec(),
-            free: Mutex::new(Vec::new()),
-            free_count: AtomicUsize::new(0),
-            tripped: AtomicBool::new(false),
-            trip_limit: AtomicUsize::new(usize::MAX),
-            peak_pool: AtomicUsize::new(0),
+    /// A pool over the order `var_at` (a permutation, validated by the
+    /// caller).
+    pub(crate) fn new(var_at: Vec<u32>) -> Core {
+        let n = var_at.len();
+        let mut level_of = vec![0u32; n + 1];
+        for (level, &var) in var_at.iter().enumerate() {
+            level_of[var as usize] = level as u32;
         }
+        level_of[n] = n as u32;
+        let terminal = |value| Node {
+            var: n as u32,
+            lo: value,
+            hi: value,
+            next: ZERO,
+        };
+        Core {
+            num_vars: n,
+            nodes: vec![terminal(ZERO), terminal(ONE)],
+            level_of,
+            var_at,
+            subtables: vec![Subtable::with_buckets(MIN_BUCKETS); n],
+            free: Vec::new(),
+            cache: ComputedTable::with_len(MIN_CACHE),
+            trip_limit: usize::MAX,
+            steps: 0,
+            peak_pool: 0,
+        }
+    }
+
+    /// The level of variable `var`.
+    #[inline]
+    pub(crate) fn level_of(&self, var: usize) -> u32 {
+        self.level_of[var]
+    }
+
+    /// The variable at `level`.
+    #[inline]
+    pub(crate) fn var_at(&self, level: usize) -> u32 {
+        self.var_at[level]
+    }
+
+    /// The order as a slice: `var_at()[level]` is the variable there.
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.var_at
     }
 
     /// Number of live non-terminal nodes (allocated minus freed).
     #[inline]
     pub(crate) fn pool_size(&self) -> usize {
-        self.store.len() - 2 - self.free_count.load(Ordering::Acquire)
+        self.nodes.len() - 2 - self.free.len()
     }
 
     /// Number of pool slots ever allocated (live or freed).
-    #[inline]
     pub(crate) fn allocated_size(&self) -> usize {
-        self.store.len() - 2
+        self.nodes.len() - 2
     }
 
-    /// The mid-operation pool peak sampled at interruption polls.
+    /// The largest live-pool size reached so far.
     pub(crate) fn peak_pool(&self) -> usize {
-        self.peak_pool.load(Ordering::Acquire).max(self.pool_size())
+        self.peak_pool
     }
 
-    /// Arms (or disarms, with `usize::MAX`) the mid-operation trip limit
-    /// and clears the latch.
-    pub(crate) fn arm_trip(&self, limit: usize) {
-        self.trip_limit.store(limit, Ordering::Release);
-        self.tripped.store(false, Ordering::Release);
+    /// Arms (or disarms, with `usize::MAX`) the live-node limit and resets
+    /// the step counter.
+    pub(crate) fn arm_trip(&mut self, limit: usize) {
+        self.trip_limit = limit;
+        self.steps = 0;
     }
 
-    /// One interruption poll: samples the pool peak and reports (latching)
-    /// whether the pool exceeds the armed limit.
-    fn poll_trip(&self) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
-            return true;
+    /// One kernel step: every [`CHECK_INTERVAL`] steps, fail if the pool is
+    /// past the armed limit.
+    #[inline]
+    fn tick(&mut self) -> Result<(), Interrupted> {
+        self.steps += 1;
+        if self.steps.is_multiple_of(CHECK_INTERVAL) && self.pool_size() > self.trip_limit {
+            return Err(Interrupted);
         }
-        let pool = self.pool_size();
-        self.peak_pool.fetch_max(pool, Ordering::AcqRel);
-        if pool > self.trip_limit.load(Ordering::Relaxed) {
-            self.tripped.store(true, Ordering::Release);
-            return true;
-        }
-        false
+        Ok(())
+    }
+
+    /// Returns `true` if `n` is a terminal or a live (not freed) node.
+    #[inline]
+    pub(crate) fn is_live(&self, n: u32) -> bool {
+        self.nodes[n as usize].var != FREE
     }
 
     /// Checked node read: `(level, lo, hi)`. Every walk goes through here
@@ -361,99 +265,176 @@ impl Core {
     /// freed (possibly reused) slot.
     #[inline]
     pub(crate) fn node(&self, n: u32) -> (u32, u32, u32) {
-        let raw = self.store.raw(n);
+        let node = self.nodes[n as usize];
         debug_assert!(
-            raw.0 != FREE,
+            node.var != FREE,
             "stale Bdd handle: node {n} was garbage-collected"
         );
-        raw
+        (self.level_of[node.var as usize], node.lo, node.hi)
     }
 
+    /// The level `n` branches on (`num_vars` for the terminals).
     #[inline]
     pub(crate) fn level(&self, n: u32) -> u32 {
-        if n <= ONE {
-            self.num_vars as u32
-        } else {
-            let level = self.store.level(n);
-            debug_assert!(
-                level != FREE,
-                "stale Bdd handle: node {n} was garbage-collected"
-            );
-            level
-        }
+        let var = self.nodes[n as usize].var;
+        debug_assert!(
+            var != FREE,
+            "stale Bdd handle: node {n} was garbage-collected"
+        );
+        self.level_of[var as usize]
     }
 
     /// Splits `n` at `level`: its children if it branches there, `(n, n)`
     /// if the level is unconstrained.
     #[inline]
     pub(crate) fn children_at(&self, n: u32, level: u32) -> (u32, u32) {
-        if n > ONE {
-            let (l, lo, hi) = self.node(n);
-            if l == level {
-                return (lo, hi);
+        let node = self.nodes[n as usize];
+        if n > ONE && self.level_of[node.var as usize] == level {
+            (node.lo, node.hi)
+        } else {
+            (n, n)
+        }
+    }
+
+    /// The unique-table entry for `(level, lo, hi)`, if one exists.
+    #[inline]
+    fn unique_get(&self, level: u32, lo: u32, hi: u32) -> Option<u32> {
+        let table = &self.subtables[level as usize];
+        let mut n = table.buckets[table.bucket(lo, hi)];
+        while n != ZERO {
+            let node = &self.nodes[n as usize];
+            if node.lo == lo && node.hi == hi {
+                return Some(n);
             }
+            n = node.next;
         }
-        (n, n)
+        None
     }
 
-    /// Pops a freed slot or reserves a fresh one.
-    fn alloc_slot(&self) -> u32 {
-        {
-            let mut free = lock(&self.free);
-            if let Some(id) = free.pop() {
-                self.free_count.fetch_sub(1, Ordering::AcqRel);
-                return id;
-            }
-        }
-        self.store.bump()
-    }
-
-    /// Hash-consed node constructor with the `lo == hi` reduction, safe
-    /// under concurrency: the winning inserter's id is returned to every
-    /// racer, and a slot allocated for a lost race goes straight back to
-    /// the free list (its fields were never published).
-    pub(crate) fn mk(&self, level: u32, lo: u32, hi: u32, ctx: &mut OpCtx) -> OpResult {
-        if lo == hi {
-            return Ok(lo);
-        }
-        ctx.tick(self)?;
-        Ok(self.mk_unchecked(level, lo, hi))
-    }
-
-    /// [`mk`](Self::mk) without the interruption poll — for bounded
-    /// builders (variables, cubes, reordering) that must not unwind.
-    pub(crate) fn mk_unchecked(&self, level: u32, lo: u32, hi: u32) -> u32 {
-        if lo == hi {
-            return lo;
-        }
+    /// Allocates a node known to be absent and links it into its subtable.
+    fn insert_new(&mut self, level: u32, lo: u32, hi: u32) -> u32 {
         debug_assert!(
-            (lo <= ONE || self.store.level(lo) != FREE)
-                && (hi <= ONE || self.store.level(hi) != FREE),
+            self.is_live(lo) && self.is_live(hi),
             "stale Bdd handle: child of a new node was garbage-collected"
         );
-        let key = (level, lo, hi);
-        let mut shard = lock(&self.unique[shard3(level, lo, hi)]);
-        if let Some(&id) = shard.get(&key) {
-            return id;
+        let var = self.var_at[level as usize];
+        let table = &mut self.subtables[level as usize];
+        let b = table.bucket(lo, hi);
+        let node = Node {
+            var,
+            lo,
+            hi,
+            next: table.buckets[b],
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.nodes[id as usize] = node;
+                id
+            }
+            None => {
+                let id = self.nodes.len() as u32;
+                assert!(id < FREE, "BDD node pool exhausted");
+                self.nodes.push(node);
+                id
+            }
+        };
+        table.buckets[b] = id;
+        table.count += 1;
+        if table.count > table.buckets.len() {
+            let len = table.buckets.len() * 2;
+            self.rehash(level as usize, len);
         }
-        // Publish order: fields first, then the map entry; the shard mutex
-        // is the release/acquire edge every other reader goes through.
-        let id = self.alloc_slot();
-        self.store.write(id, level, lo, hi);
-        shard.insert(key, id);
+        self.peak_pool = self.peak_pool.max(self.pool_size());
         id
     }
 
-    fn cache_get3(cache: &Sharded<(u32, u32, u32)>, key: (u32, u32, u32)) -> Option<u32> {
-        lock(&cache[shard3(key.0, key.1, key.2)]).get(&key).copied()
+    /// Rebuilds level `level`'s bucket array at `len` buckets.
+    fn rehash(&mut self, level: usize, len: usize) {
+        let old = std::mem::replace(&mut self.subtables[level], Subtable::with_buckets(len));
+        let table = &mut self.subtables[level];
+        table.count = old.count;
+        for head in old.buckets {
+            let mut n = head;
+            while n != ZERO {
+                let node = &mut self.nodes[n as usize];
+                let next = node.next;
+                let b = table.bucket(node.lo, node.hi);
+                node.next = table.buckets[b];
+                table.buckets[b] = n;
+                n = next;
+            }
+        }
     }
 
-    fn cache_put3(cache: &Sharded<(u32, u32, u32)>, key: (u32, u32, u32), r: u32) {
-        lock(&cache[shard3(key.0, key.1, key.2)]).insert(key, r);
+    /// Unlinks `id` from its subtable chain (the node stays allocated).
+    fn unique_unlink(&mut self, id: u32) {
+        let node = self.nodes[id as usize];
+        let level = self.level_of[node.var as usize] as usize;
+        let table = &mut self.subtables[level];
+        let b = table.bucket(node.lo, node.hi);
+        table.count -= 1;
+        if table.buckets[b] == id {
+            table.buckets[b] = node.next;
+            return;
+        }
+        let mut n = table.buckets[b];
+        while n != ZERO {
+            let next = self.nodes[n as usize].next;
+            if next == id {
+                self.nodes[n as usize].next = node.next;
+                return;
+            }
+            n = next;
+        }
+        debug_assert!(false, "unique table out of sync: node {id} not chained");
+    }
+
+    /// Marks a slot free and hands it to the allocator.
+    fn release(&mut self, id: u32) {
+        self.nodes[id as usize] = Node {
+            var: FREE,
+            lo: ZERO,
+            hi: ZERO,
+            next: ZERO,
+        };
+        self.free.push(id);
+    }
+
+    /// Hash-consed node constructor with the `lo == hi` reduction; one
+    /// kernel step.
+    #[inline]
+    pub(crate) fn mk(&mut self, level: u32, lo: u32, hi: u32) -> OpResult {
+        if lo == hi {
+            return Ok(lo);
+        }
+        self.tick()?;
+        if let Some(id) = self.unique_get(level, lo, hi) {
+            return Ok(id);
+        }
+        let id = self.insert_new(level, lo, hi);
+        if self.pool_size() * CACHE_RATIO > self.cache.entries.len()
+            && self.cache.entries.len() < MAX_CACHE
+        {
+            let len = self.cache.entries.len() * 2;
+            self.cache.resize(len);
+        }
+        Ok(id)
+    }
+
+    /// [`mk`](Self::mk) without the limit — for bounded builders
+    /// (variables, cubes, reordering) that must not unwind.
+    pub(crate) fn mk_unchecked(&mut self, level: u32, lo: u32, hi: u32) -> u32 {
+        if lo == hi {
+            return lo;
+        }
+        match self.unique_get(level, lo, hi) {
+            Some(id) => id,
+            None => self.insert_new(level, lo, hi),
+        }
     }
 
     /// The memoised ITE kernel: `f·g + f̅·h`.
-    pub(crate) fn ite_rec(&self, f: u32, g: u32, h: u32, ctx: &mut OpCtx) -> OpResult {
+    pub(crate) fn ite_rec(&mut self, f: u32, g: u32, h: u32) -> OpResult {
         // Terminal short-circuits.
         if f == ONE {
             return Ok(g);
@@ -467,295 +448,394 @@ impl Core {
         if g == ONE && h == ZERO {
             return Ok(f);
         }
-        ctx.tick(self)?;
-        let key = (f, g, h);
-        if let Some(r) = Self::cache_get3(&self.ite_cache, key) {
+        self.tick()?;
+        if let Some(r) = self.cache.get(OP_ITE, f, g, h) {
             return Ok(r);
         }
         let level = self.level(f).min(self.level(g)).min(self.level(h));
         let (f0, f1) = self.children_at(f, level);
         let (g0, g1) = self.children_at(g, level);
         let (h0, h1) = self.children_at(h, level);
-        let lo = self.ite_rec(f0, g0, h0, ctx)?;
-        let hi = self.ite_rec(f1, g1, h1, ctx)?;
-        let r = self.mk(level, lo, hi, ctx)?;
-        Self::cache_put3(&self.ite_cache, key, r);
+        let lo = self.ite_rec(f0, g0, h0)?;
+        let hi = self.ite_rec(f1, g1, h1)?;
+        let r = self.mk(level, lo, hi)?;
+        self.cache.put(OP_ITE, f, g, h, r);
         Ok(r)
     }
 
     /// Existential quantification `∃ cube. f` (memoised), with the
     /// cube-skipping normalisation above `f`'s support.
-    pub(crate) fn exists_rec(&self, f: u32, mut cube: u32, ctx: &mut OpCtx) -> OpResult {
+    pub(crate) fn exists_rec(&mut self, f: u32, mut cube: u32) -> OpResult {
         if f <= ONE {
             return Ok(f);
         }
         // Quantifying a variable above f's support is the identity.
-        while cube > ONE && self.level(cube) < self.level(f) {
-            cube = self.node(cube).2;
+        let level = self.level(f);
+        while cube > ONE && self.level(cube) < level {
+            cube = self.nodes[cube as usize].hi;
         }
         if cube == ONE {
             return Ok(f);
         }
-        ctx.tick(self)?;
-        let key = (f, cube);
-        if let Some(r) = lock(&self.exists_cache[shard2(f, cube)]).get(&key).copied() {
+        self.tick()?;
+        if let Some(r) = self.cache.get(OP_EXISTS, f, cube, ZERO) {
             return Ok(r);
         }
-        let level = self.level(f);
         let (f0, f1) = self.children_at(f, level);
         let r = if self.level(cube) == level {
-            let rest = self.node(cube).2;
-            let lo = self.exists_rec(f0, rest, ctx)?;
+            let rest = self.nodes[cube as usize].hi;
+            let lo = self.exists_rec(f0, rest)?;
             if lo == ONE {
                 ONE
             } else {
-                let hi = self.exists_rec(f1, rest, ctx)?;
-                self.ite_rec(lo, ONE, hi, ctx)?
+                let hi = self.exists_rec(f1, rest)?;
+                self.ite_rec(lo, ONE, hi)?
             }
         } else {
-            let lo = self.exists_rec(f0, cube, ctx)?;
-            let hi = self.exists_rec(f1, cube, ctx)?;
-            self.mk(level, lo, hi, ctx)?
+            let lo = self.exists_rec(f0, cube)?;
+            let hi = self.exists_rec(f1, cube)?;
+            self.mk(level, lo, hi)?
         };
-        lock(&self.exists_cache[shard2(f, cube)]).insert(key, r);
+        self.cache.put(OP_EXISTS, f, cube, ZERO, r);
         Ok(r)
     }
 
     /// The relational product `∃ cube. f · g` in one pass (memoised).
-    pub(crate) fn and_exists_rec(
-        &self,
-        f: u32,
-        g: u32,
-        mut cube: u32,
-        ctx: &mut OpCtx,
-    ) -> OpResult {
+    pub(crate) fn and_exists_rec(&mut self, f: u32, g: u32, mut cube: u32) -> OpResult {
         if f == ZERO || g == ZERO {
             return Ok(ZERO);
         }
         if f == ONE {
-            return self.exists_rec(g, cube, ctx);
+            return self.exists_rec(g, cube);
         }
         if g == ONE || f == g {
-            return self.exists_rec(f, cube, ctx);
+            return self.exists_rec(f, cube);
         }
         let top = self.level(f).min(self.level(g));
         while cube > ONE && self.level(cube) < top {
-            cube = self.node(cube).2;
+            cube = self.nodes[cube as usize].hi;
         }
         if cube == ONE {
-            return self.ite_rec(f, g, ZERO, ctx);
+            return self.ite_rec(f, g, ZERO);
         }
-        ctx.tick(self)?;
+        self.tick()?;
         // Conjunction is commutative: normalise the key.
-        let key = if f > g { (g, f, cube) } else { (f, g, cube) };
-        if let Some(r) = Self::cache_get3(&self.and_exists_cache, key) {
+        let (a, b) = if f > g { (g, f) } else { (f, g) };
+        if let Some(r) = self.cache.get(OP_AND_EXISTS, a, b, cube) {
             return Ok(r);
         }
         let (f0, f1) = self.children_at(f, top);
         let (g0, g1) = self.children_at(g, top);
         let r = if self.level(cube) == top {
-            let rest = self.node(cube).2;
-            let lo = self.and_exists_rec(f0, g0, rest, ctx)?;
+            let rest = self.nodes[cube as usize].hi;
+            let lo = self.and_exists_rec(f0, g0, rest)?;
             if lo == ONE {
                 ONE
             } else {
-                let hi = self.and_exists_rec(f1, g1, rest, ctx)?;
-                self.ite_rec(lo, ONE, hi, ctx)?
+                let hi = self.and_exists_rec(f1, g1, rest)?;
+                self.ite_rec(lo, ONE, hi)?
             }
         } else {
-            let lo = self.and_exists_rec(f0, g0, cube, ctx)?;
-            let hi = self.and_exists_rec(f1, g1, cube, ctx)?;
-            self.mk(top, lo, hi, ctx)?
+            let lo = self.and_exists_rec(f0, g0, cube)?;
+            let hi = self.and_exists_rec(f1, g1, cube)?;
+            self.mk(top, lo, hi)?
         };
-        Self::cache_put3(&self.and_exists_cache, key, r);
+        self.cache.put(OP_AND_EXISTS, a, b, cube, r);
         Ok(r)
     }
 
     // ------------------------------------------------------------------
-    // Quiesced maintenance support (`&mut self`: no kernel is running).
+    // Maintenance: collection, cache flushing, level swaps.
     // ------------------------------------------------------------------
 
-    /// Drops every memoised operation result (reordering retires nodes
-    /// without mark information, so selective purging is impossible).
-    pub(crate) fn clear_caches(&mut self) {
-        for shard in self.ite_cache.iter() {
-            lock(shard).clear();
-        }
-        for shard in self.exists_cache.iter() {
-            lock(shard).clear();
-        }
-        for shard in self.and_exists_cache.iter() {
-            lock(shard).clear();
-        }
+    /// Drops every memoised result and reallocates the computed table to
+    /// fit the current pool (reordering frees nodes without mark
+    /// information, so selective purging is impossible).
+    pub(crate) fn clear_cache(&mut self) {
+        self.cache = ComputedTable::with_len(ComputedTable::len_for(self.pool_size()));
     }
 
-    /// Purges cache entries touching any id for which `dead` holds.
-    pub(crate) fn purge_caches(&mut self, dead: impl Fn(u32) -> bool) {
-        let alive = |n: u32| !dead(n);
-        for shard in self.ite_cache.iter() {
-            lock(shard).retain(|&(f, g, h), r| alive(f) && alive(g) && alive(h) && alive(*r));
-        }
-        for shard in self.exists_cache.iter() {
-            lock(shard).retain(|&(f, cube), r| alive(f) && alive(cube) && alive(*r));
-        }
-        for shard in self.and_exists_cache.iter() {
-            lock(shard).retain(|&(f, g, cube), r| alive(f) && alive(g) && alive(cube) && alive(*r));
-        }
-    }
-
-    /// Removes a node's unique-table entry. Panics (via the debug
-    /// assertion) if the table is out of sync.
-    pub(crate) fn unique_remove(&mut self, level: u32, lo: u32, hi: u32, id: u32) {
-        let removed = lock(&self.unique[shard3(level, lo, hi)]).remove(&(level, lo, hi));
-        debug_assert_eq!(removed, Some(id), "unique table out of sync");
-        let _ = removed;
-        let _ = id;
-    }
-
-    /// Registers a node under a (new) unique-table key, returning any
-    /// previous occupant (reordering asserts there is none).
-    pub(crate) fn unique_insert(&mut self, level: u32, lo: u32, hi: u32, id: u32) -> Option<u32> {
-        lock(&self.unique[shard3(level, lo, hi)]).insert((level, lo, hi), id)
-    }
-
-    /// Looks up a unique-table key (reordering's hash-consing path).
-    pub(crate) fn unique_get(&self, level: u32, lo: u32, hi: u32) -> Option<u32> {
-        lock(&self.unique[shard3(level, lo, hi)])
-            .get(&(level, lo, hi))
-            .copied()
-    }
-
-    /// Frees a slot: level becomes [`FREE`], the id joins the free list.
-    pub(crate) fn release_slot(&mut self, id: u32) {
-        self.store.write(id, FREE, 0, 0);
-        lock(&self.free).push(id);
-        self.free_count.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Total entries across the unique-table shards (invariant checking).
-    pub(crate) fn unique_len(&self) -> usize {
-        self.unique.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// Number of free-list entries (invariant checking).
-    pub(crate) fn free_len(&self) -> usize {
-        lock(&self.free).len()
-    }
-}
-
-// ----------------------------------------------------------------------
-// Frontier decomposition: the probe used by the parallel apply to expand a
-// root call into independent subproblems, mirroring each kernel's
-// normalisation so worker results land on the keys the serial finish pass
-// will ask for.
-// ----------------------------------------------------------------------
-
-/// One independent kernel invocation, in normalised form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Task {
-    /// `ite(f, g, h)`.
-    Ite(u32, u32, u32),
-    /// `∃ cube. f`.
-    Exists(u32, u32),
-    /// `∃ cube. f · g`.
-    AndExists(u32, u32, u32),
-}
-
-/// Result of probing a task without allocating: either it resolves
-/// immediately (terminal rule or cache hit), or it forks into the two
-/// cofactor subtasks the kernel would recurse on.
-pub(crate) enum Probe {
-    /// Resolved without recursion; no work to distribute.
-    Done,
-    /// The two subtasks of the cofactor recursion (already normalised).
-    Fork([Task; 2]),
-}
-
-impl Core {
-    /// Runs a task to completion with the serial kernel.
-    pub(crate) fn run_task(&self, task: Task, ctx: &mut OpCtx) -> OpResult {
-        match task {
-            Task::Ite(f, g, h) => self.ite_rec(f, g, h, ctx),
-            Task::Exists(f, cube) => self.exists_rec(f, cube, ctx),
-            Task::AndExists(f, g, cube) => self.and_exists_rec(f, g, cube, ctx),
-        }
-    }
-
-    /// Probes one task, mirroring the kernel's own normalisation (terminal
-    /// short-circuits, cube skipping, commutative key swap, cache lookup)
-    /// so the forked subtasks are exactly the recursive calls the serial
-    /// kernel will make — their results are guaranteed cache hits for the
-    /// finish pass.
-    pub(crate) fn probe(&self, task: Task) -> Probe {
-        match task {
-            Task::Ite(f, g, h) => {
-                if f <= ONE || g == h || (g == ONE && h == ZERO) {
-                    return Probe::Done;
-                }
-                if Self::cache_get3(&self.ite_cache, (f, g, h)).is_some() {
-                    return Probe::Done;
-                }
-                let level = self.level(f).min(self.level(g)).min(self.level(h));
-                let (f0, f1) = self.children_at(f, level);
-                let (g0, g1) = self.children_at(g, level);
-                let (h0, h1) = self.children_at(h, level);
-                Probe::Fork([Task::Ite(f0, g0, h0), Task::Ite(f1, g1, h1)])
+    /// Mark-and-sweep collection from `roots`: the mark touches the live
+    /// nodes, the sweep walks the subtable chains, so the cost is
+    /// O(live + freed) plus a bitmap of one bit per slot. Each subtable
+    /// then shrinks to fit its survivors, and computed-table entries that
+    /// name a freed node are purged. Returns the number of nodes freed.
+    pub(crate) fn gc(&mut self, roots: impl Iterator<Item = u32>) -> usize {
+        let mut marked = vec![0u64; self.nodes.len().div_ceil(64)];
+        let is_marked = |marked: &[u64], n: u32| marked[n as usize / 64] >> (n % 64) & 1 == 1;
+        let mut stack: Vec<u32> = roots.filter(|&n| n > ONE).collect();
+        while let Some(n) = stack.pop() {
+            if is_marked(&marked, n) {
+                continue;
             }
-            Task::Exists(f, mut cube) => {
-                if f <= ONE {
-                    return Probe::Done;
+            marked[n as usize / 64] |= 1 << (n % 64);
+            let node = self.nodes[n as usize];
+            debug_assert!(node.var != FREE, "protected root {n} was collected");
+            for c in [node.lo, node.hi] {
+                if c > ONE && !is_marked(&marked, c) {
+                    stack.push(c);
                 }
-                while cube > ONE && self.level(cube) < self.level(f) {
-                    cube = self.node(cube).2;
+            }
+        }
+        let before = self.pool_size();
+        for level in 0..self.num_vars {
+            let mut table =
+                std::mem::replace(&mut self.subtables[level], Subtable::with_buckets(0));
+            for b in 0..table.buckets.len() {
+                let mut kept = ZERO;
+                let mut n = table.buckets[b];
+                while n != ZERO {
+                    let next = self.nodes[n as usize].next;
+                    if is_marked(&marked, n) {
+                        self.nodes[n as usize].next = kept;
+                        kept = n;
+                    } else {
+                        self.release(n);
+                        table.count -= 1;
+                    }
+                    n = next;
                 }
-                if cube == ONE {
-                    return Probe::Done;
+                table.buckets[b] = kept;
+            }
+            self.subtables[level] = table;
+            let fit = self.subtables[level]
+                .count
+                .next_power_of_two()
+                .max(MIN_BUCKETS);
+            if fit < self.subtables[level].buckets.len() {
+                self.rehash(level, fit);
+            }
+        }
+        let dead = |n: u32| n > ONE && !is_marked(&marked, n);
+        for e in self.cache.entries.iter_mut() {
+            if e[0] != 0 && (dead(e[1]) || dead(e[2]) || dead(e[3]) || dead(e[4])) {
+                e[0] = 0;
+            }
+        }
+        before - self.pool_size()
+    }
+
+    /// Exact reference counts over the live pool (child links plus `pins`).
+    /// Call right after [`gc`](Self::gc): dead nodes would contribute
+    /// phantom references.
+    pub(crate) fn compute_refs(&self, pins: impl Iterator<Item = (u32, usize)>) -> Vec<u32> {
+        let mut refs = vec![0u32; self.nodes.len()];
+        for table in &self.subtables {
+            for &head in &table.buckets {
+                let mut n = head;
+                while n != ZERO {
+                    let node = &self.nodes[n as usize];
+                    refs[node.lo as usize] += 1;
+                    refs[node.hi as usize] += 1;
+                    n = node.next;
                 }
-                if lock(&self.exists_cache[shard2(f, cube)])
-                    .get(&(f, cube))
-                    .is_some()
-                {
-                    return Probe::Done;
-                }
-                let level = self.level(f);
-                let (f0, f1) = self.children_at(f, level);
-                if self.level(cube) == level {
-                    let rest = self.node(cube).2;
-                    Probe::Fork([Task::Exists(f0, rest), Task::Exists(f1, rest)])
+            }
+        }
+        for (id, count) in pins {
+            refs[id as usize] = refs[id as usize].saturating_add(count as u32);
+        }
+        refs
+    }
+
+    /// Live node count at `level`.
+    pub(crate) fn level_count(&self, level: usize) -> usize {
+        self.subtables[level].count
+    }
+
+    /// The in-place exchange of levels `l` and `l + 1`.
+    ///
+    /// Invariant: every node id denotes the same function before and after.
+    /// The lower variable's nodes keep their structure, so their subtable
+    /// simply moves up; upper nodes independent of the lower variable stay
+    /// in their subtable as it moves down; upper nodes that depend on it are
+    /// rewritten in place with fresh children one level down. Lower nodes
+    /// left unreferenced are freed immediately (cascading into their
+    /// children), keeping `refs` and the live count exact throughout.
+    pub(crate) fn swap_adjacent(&mut self, l: usize, refs: &mut Vec<u32>) {
+        let (lu, ll) = (l as u32, l as u32 + 1);
+        let x = self.var_at[l];
+        let y = self.var_at[l + 1];
+        self.var_at.swap(l, l + 1);
+        self.level_of[x as usize] = ll;
+        self.level_of[y as usize] = lu;
+        self.subtables.swap(l, l + 1);
+
+        // 1. Pull the x nodes that branch on y out of x's subtable (now at
+        //    level l + 1); the rest stay there unchanged.
+        let mut dependent: Vec<u32> = Vec::new();
+        let table = &mut self.subtables[l + 1];
+        for b in 0..table.buckets.len() {
+            let mut kept = ZERO;
+            let mut n = table.buckets[b];
+            while n != ZERO {
+                let node = self.nodes[n as usize];
+                if self.nodes[node.lo as usize].var == y || self.nodes[node.hi as usize].var == y {
+                    dependent.push(n);
                 } else {
-                    Probe::Fork([Task::Exists(f0, cube), Task::Exists(f1, cube)])
+                    self.nodes[n as usize].next = kept;
+                    kept = n;
                 }
+                n = node.next;
             }
-            Task::AndExists(f, g, mut cube) => {
-                if f == ZERO || g == ZERO {
-                    return Probe::Done;
-                }
-                if f == ONE {
-                    return self.probe(Task::Exists(g, cube));
-                }
-                if g == ONE || f == g {
-                    return self.probe(Task::Exists(f, cube));
-                }
-                let top = self.level(f).min(self.level(g));
-                while cube > ONE && self.level(cube) < top {
-                    cube = self.node(cube).2;
-                }
-                if cube == ONE {
-                    return self.probe(Task::Ite(f, g, ZERO));
-                }
-                let key = if f > g { (g, f, cube) } else { (f, g, cube) };
-                if Self::cache_get3(&self.and_exists_cache, key).is_some() {
-                    return Probe::Done;
-                }
-                let (f0, f1) = self.children_at(f, top);
-                let (g0, g1) = self.children_at(g, top);
-                if self.level(cube) == top {
-                    let rest = self.node(cube).2;
-                    Probe::Fork([Task::AndExists(f0, g0, rest), Task::AndExists(f1, g1, rest)])
+            table.buckets[b] = kept;
+        }
+        table.count -= dependent.len();
+
+        // 2. Rewrite each dependent node in place:
+        //    x ? (y ? f11 : f10) : (y ? f01 : f00)
+        //      == y ? (x ? f11 : f01) : (x ? f10 : f00).
+        let mut orphans: Vec<u32> = Vec::new();
+        for &n in &dependent {
+            let Node { lo: f0, hi: f1, .. } = self.nodes[n as usize];
+            let mut split = |c: u32| {
+                let node = self.nodes[c as usize];
+                if c > ONE && node.var == y {
+                    refs[c as usize] -= 1;
+                    orphans.push(c);
+                    (node.lo, node.hi)
                 } else {
-                    Probe::Fork([Task::AndExists(f0, g0, cube), Task::AndExists(f1, g1, cube)])
+                    if c > ONE {
+                        refs[c as usize] -= 1;
+                    }
+                    (c, c)
+                }
+            };
+            let (f00, f01) = split(f0);
+            let (f10, f11) = split(f1);
+            let lo = self.swap_child(ll, f00, f10, refs);
+            let hi = self.swap_child(ll, f01, f11, refs);
+            debug_assert!(lo != hi, "dependent node reduced away during swap");
+            for c in [lo, hi] {
+                if c > ONE {
+                    refs[c as usize] += 1;
                 }
             }
+            let table = &mut self.subtables[l];
+            let b = table.bucket(lo, hi);
+            self.nodes[n as usize] = Node {
+                var: y,
+                lo,
+                hi,
+                next: table.buckets[b],
+            };
+            table.buckets[b] = n;
+            table.count += 1;
+            if table.count > table.buckets.len() {
+                let len = table.buckets.len() * 2;
+                self.rehash(l, len);
+            }
+        }
+
+        // 3. y nodes nothing references any more are dead — free them now
+        //    so reference counts and the live size stay exact.
+        for m in orphans {
+            if self.is_live(m) && refs[m as usize] == 0 {
+                self.unlink_dead(m, refs);
+            }
+        }
+    }
+
+    /// Hash-consed child construction for [`swap_adjacent`], counting the
+    /// references a freshly allocated node holds.
+    fn swap_child(&mut self, level: u32, lo: u32, hi: u32, refs: &mut Vec<u32>) -> u32 {
+        if lo == hi {
+            return lo;
+        }
+        if let Some(id) = self.unique_get(level, lo, hi) {
+            return id;
+        }
+        let id = self.insert_new(level, lo, hi);
+        if id as usize >= refs.len() {
+            refs.resize(id as usize + 1, 0);
+        }
+        refs[id as usize] = 0;
+        for c in [lo, hi] {
+            if c > ONE {
+                refs[c as usize] += 1;
+            }
+        }
+        id
+    }
+
+    /// Frees a dead node, cascading into children whose counts hit zero.
+    fn unlink_dead(&mut self, id: u32, refs: &mut [u32]) {
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            let Node { lo, hi, .. } = self.nodes[n as usize];
+            self.unique_unlink(n);
+            self.release(n);
+            for c in [lo, hi] {
+                if c > ONE {
+                    refs[c as usize] -= 1;
+                    if refs[c as usize] == 0 {
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Checks the pool's structural invariants, panicking on the first
+    /// violation: live nodes are reduced, reference only live
+    /// strictly-deeper children and are chained exactly once, in their own
+    /// level's subtable; the free list matches the freed slots; and the
+    /// order arrays are inverse permutations.
+    pub(crate) fn assert_invariants(&self) {
+        let mut live = 0usize;
+        for (i, node) in self.nodes.iter().enumerate().skip(2) {
+            if node.var == FREE {
+                continue;
+            }
+            live += 1;
+            let level = self.level(i as u32);
+            assert!(
+                (level as usize) < self.num_vars,
+                "node {i}: level {level} out of range"
+            );
+            assert!(
+                node.lo != node.hi,
+                "node {i}: redundant (lo == hi == {})",
+                node.lo
+            );
+            for c in [node.lo, node.hi] {
+                assert!(self.is_live(c), "node {i}: references freed child {c}");
+                assert!(
+                    self.level(c) > level,
+                    "node {i}: child {c} not strictly below level {level}"
+                );
+            }
+            assert_eq!(
+                self.unique_get(level, node.lo, node.hi),
+                Some(i as u32),
+                "node {i}: unique table misses it or maps its key elsewhere"
+            );
+        }
+        let chained: usize = self.subtables.iter().map(|t| t.count).sum();
+        assert_eq!(
+            chained, live,
+            "unique subtables hold entries for dead nodes"
+        );
+        for table in &self.subtables {
+            let mut walked = 0;
+            for &head in &table.buckets {
+                let mut n = head;
+                while n != ZERO {
+                    walked += 1;
+                    n = self.nodes[n as usize].next;
+                }
+            }
+            assert_eq!(walked, table.count, "subtable count out of sync");
+        }
+        assert_eq!(
+            live + self.free.len(),
+            self.nodes.len() - 2,
+            "free list out of sync with freed slots"
+        );
+        for v in 0..self.num_vars {
+            assert_eq!(
+                self.var_at[self.level_of[v] as usize] as usize, v,
+                "level_of/var_at are not inverse permutations at variable {v}"
+            );
         }
     }
 }

@@ -24,16 +24,14 @@
 //! handles from the same manager are equal iff the functions are equal, so
 //! equality, emptiness and fixpoint-convergence tests are O(1).
 //!
-//! The node substrate is concurrent (safe Rust only): the unique table and
-//! operation caches are sharded behind fine-grained locks, and
-//! [`set_threads`](BddManager::set_threads) turns the `ite`/`exists`/
-//! `and_exists` kernels into work-stealing parallel operations over the
-//! shared tables. Long-running operations can also run *reentrant*
-//! maintenance ([`set_maintenance`](BddManager::set_maintenance)): kernels
-//! poll a live-node checkpoint and unwind for a GC/reorder pass mid-call
-//! instead of only between driver iterations. Node ids become
-//! schedule-dependent under threads, but canonicity within a run — and
-//! every extracted artifact — does not.
+//! The node substrate is a serial core in the CUDD/BuDDy mould: one node
+//! array, per-level unique subtables, and a fixed-size lossy computed table
+//! sized from the pool, so collection and sifting cost O(live + freed)
+//! rather than the allocation high-water mark. Long-running operations can
+//! also run *reentrant* maintenance
+//! ([`set_maintenance`](BddManager::set_maintenance)): a kernel that hits
+//! the live-node limit unwinds, the manager collects (and may sift), and
+//! the operation retries.
 //!
 //! ## Example
 //!
@@ -67,7 +65,6 @@ mod core;
 mod isop;
 mod manager;
 mod order;
-mod par;
 mod sift;
 
 pub use convert::{ConvertError, TranslationCache};

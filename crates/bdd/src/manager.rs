@@ -1,16 +1,15 @@
-//! The node manager: hash-consed unique table, ITE kernel, quantification,
-//! root protection, mark-and-sweep garbage collection, and the retry loop
-//! that gives long-running operations reentrant GC/reorder checkpoints.
+//! The node manager: the public operation surface, root protection,
+//! garbage collection, and the retry loop that gives long-running
+//! operations reentrant GC/reorder checkpoints.
 //!
-//! The tables themselves live in [`crate::core`] (sharded, lock-guarded,
-//! shared by the parallel workers); this module owns the external surface:
-//! variable order, root protection, operation dispatch (serial or
-//! work-stealing parallel), and the maintenance policy that fires when a
-//! kernel trips its live-node checkpoint mid-operation.
+//! The tables themselves live in [`crate::core`]; this module owns the
+//! external surface: variable order, root protection, operation dispatch,
+//! and the maintenance policy that fires when a kernel hits its live-node
+//! limit mid-operation.
 
 use std::collections::HashMap;
 
-use crate::core::{Core, OpCtx, Task, FREE, ONE, ZERO};
+use crate::core::{Core, OpResult, ONE, ZERO};
 use crate::isop::IsopTables;
 use crate::sift::ReorderPolicy;
 
@@ -60,8 +59,8 @@ pub struct ReentrantConfig {
 /// public [`ite`](BddManager::ite) / [`exists`](BddManager::exists) /
 /// [`and_exists`](BddManager::and_exists) call. Because every driver
 /// decision is made on canonical sets, the public call sequence — and hence
-/// these counts — is identical at any thread count, which makes them the
-/// perf proxy CI can pin on a 1-CPU runner.
+/// these counts — is independent of the machine and of every GC/reorder
+/// schedule, which makes them the perf proxy CI can pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Public ITE calls (including the `and`/`or`/`not`/`xor`/`diff`
@@ -73,8 +72,8 @@ pub struct OpCounts {
     pub and_exists: u64,
 }
 
-/// A reduced ordered BDD node pool over a fixed variable count, with a
-/// sharded unique table (hash-consing), memoised operation caches, an
+/// A reduced ordered BDD node pool over a fixed variable count, with
+/// per-level unique subtables (hash-consing), a lossy computed table, an
 /// external-root protection set and a mark-and-sweep collector.
 ///
 /// Nodes branch on *levels*; the variable order maps external variable
@@ -89,29 +88,19 @@ pub struct OpCounts {
 /// everything unreachable from the roots is swept onto a free list and the
 /// slots are reused by later allocations.
 ///
-/// With [`set_threads`](Self::set_threads) above 1, `ite`/`exists`/
-/// `and_exists` on large pools fan their cofactor frontier out to a
-/// work-stealing thread pool over the shared sharded tables. Node *ids*
-/// become schedule-dependent, but canonicity within a run is preserved
-/// (hash-consing is maintained under the shard locks), so handle equality,
-/// extracted covers, witnesses and counts are identical at any thread
-/// count.
+/// The manager is single-threaded: every operation runs to completion on
+/// the caller's thread, so node ids — like every extracted artifact — are
+/// a deterministic function of the call sequence.
 pub struct BddManager {
     pub(crate) core: Core,
-    /// `level_of[var]` = position of `var` in the order (0 = topmost).
-    pub(crate) level_of: Vec<u32>,
-    /// `var_at[level]` = variable placed at that level.
-    pub(crate) var_at: Vec<u32>,
     /// External root protection: node id → protect count.
     pub(crate) roots: HashMap<u32, usize>,
     /// ISOP extraction state: cover-DAG arena + `(L, U)` memo (see
     /// [`crate::isop`]); purged on GC, cleared on reorder.
     pub(crate) isop: IsopTables,
-    threads: usize,
     maint: Option<ReentrantConfig>,
     op_counts: OpCounts,
     maintenance_runs: usize,
-    parallel_floor: usize,
 }
 
 impl std::fmt::Debug for BddManager {
@@ -121,17 +110,12 @@ impl std::fmt::Debug for BddManager {
             .field("pool_size", &self.pool_size())
             .field("allocated_size", &self.allocated_size())
             .field("protected", &self.roots.len())
-            .field("threads", &self.threads)
             .field("order", &self.order())
             .finish()
     }
 }
 
 impl BddManager {
-    /// Live-pool size below which parallel dispatch is skipped: thread
-    /// fan-out on a small diagram costs more than it saves.
-    pub const DEFAULT_PARALLEL_FLOOR: usize = 1 << 15;
-
     /// Creates a manager over `num_vars` variables in natural order
     /// (variable `i` at level `i`).
     pub fn new(num_vars: usize) -> Self {
@@ -146,28 +130,19 @@ impl BddManager {
     /// Panics if `order` is not a permutation of `0..order.len()`.
     pub fn with_order(order: Vec<usize>) -> Self {
         let n = order.len();
-        let mut level_of = vec![u32::MAX; n];
-        let mut var_at = vec![0u32; n];
-        for (level, &var) in order.iter().enumerate() {
+        let mut seen = vec![false; n];
+        for &var in &order {
             assert!(var < n, "variable {var} out of range in order");
-            assert!(
-                level_of[var] == u32::MAX,
-                "variable {var} appears twice in order"
-            );
-            level_of[var] = level as u32;
-            var_at[level] = var as u32;
+            assert!(!seen[var], "variable {var} appears twice in order");
+            seen[var] = true;
         }
         BddManager {
-            core: Core::new(n),
-            level_of,
-            var_at,
+            core: Core::new(order.iter().map(|&v| v as u32).collect()),
             roots: HashMap::new(),
             isop: IsopTables::default(),
-            threads: 1,
             maint: None,
             op_counts: OpCounts::default(),
             maintenance_runs: 0,
-            parallel_floor: Self::DEFAULT_PARALLEL_FLOOR,
         }
     }
 
@@ -182,7 +157,8 @@ impl BddManager {
     ///
     /// Panics if `var >= num_vars`.
     pub fn level_of(&self, var: usize) -> usize {
-        self.level_of[var] as usize
+        assert!(var < self.num_vars(), "variable {var} out of range");
+        self.core.level_of(var) as usize
     }
 
     /// The variable placed at `level` under the *current* order.
@@ -191,14 +167,14 @@ impl BddManager {
     ///
     /// Panics if `level >= num_vars`.
     pub fn var_at(&self, level: usize) -> usize {
-        self.var_at[level] as usize
+        self.core.var_at(level) as usize
     }
 
     /// The current variable order as a permutation: `order()[level]` is the
     /// variable at that level. Reordering changes it; reading it after
     /// [`reorder_sift`](Self::reorder_sift) shows where sifting settled.
     pub fn order(&self) -> Vec<usize> {
-        self.var_at.iter().map(|&v| v as usize).collect()
+        self.core.order().iter().map(|&v| v as usize).collect()
     }
 
     /// The constant-0 function.
@@ -226,19 +202,6 @@ impl BddManager {
         self.core.allocated_size()
     }
 
-    /// Sets the worker count for parallel `ite`/`exists`/`and_exists`
-    /// dispatch (clamped to at least 1; 1 = fully serial). The choice
-    /// affects wall-clock and node *ids* only — never which functions any
-    /// computation produces.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Installs (or removes, with `None`) the reentrant mid-operation
     /// maintenance policy. See [`ReentrantConfig`].
     pub fn set_maintenance(&mut self, cfg: Option<ReentrantConfig>) {
@@ -250,8 +213,8 @@ impl BddManager {
         self.maint
     }
 
-    /// Number of mid-operation maintenance passes (GC and/or reorder at a
-    /// kernel checkpoint) run so far. Schedule-dependent: do not pin.
+    /// Number of mid-operation maintenance passes (GC and/or reorder when a
+    /// kernel hit the live-node limit) run so far.
     pub fn maintenance_runs(&self) -> usize {
         self.maintenance_runs
     }
@@ -261,23 +224,16 @@ impl BddManager {
         self.op_counts
     }
 
-    /// The largest live-pool size observed at any kernel checkpoint or
-    /// operation boundary — visible even when the peak occurred in the
-    /// middle of one operation. Schedule-dependent: do not pin.
+    /// The largest pool size (live plus not-yet-collected nodes) reached
+    /// so far — sampled at every node allocation, so a peak reached in the
+    /// middle of one operation or sift is counted too.
     pub fn peak_pool(&self) -> usize {
         self.core.peak_pool()
     }
 
-    /// Overrides the pool size below which parallel dispatch is skipped
-    /// ([`DEFAULT_PARALLEL_FLOOR`](Self::DEFAULT_PARALLEL_FLOOR)); tests
-    /// use 0 to force the parallel path on small pools.
-    pub fn set_parallel_floor(&mut self, floor: usize) {
-        self.parallel_floor = floor;
-    }
-
     /// Returns `true` if `f` is a terminal or a live (not collected) node.
     pub fn is_live(&self, f: Bdd) -> bool {
-        f.0 <= ONE || self.core.store.level(f.0) != FREE
+        self.core.is_live(f.0)
     }
 
     /// Checked node accessor: `(level, lo, hi)`. Every walk goes through
@@ -327,43 +283,20 @@ impl BddManager {
     }
 
     /// Mark-and-sweep garbage collection: every node unreachable from the
-    /// [`protect`](Self::protect)ed roots is unlinked from the unique table
-    /// and its slot pushed onto the free list for reuse. Operation-cache
-    /// entries touching a dead id are purged; entries over surviving nodes
-    /// are kept, so cross-call memoisation survives frequent collection
-    /// (the fixpoint drivers rely on this). Returns the number of nodes
-    /// collected.
+    /// [`protect`](Self::protect)ed roots is unlinked from its unique
+    /// subtable and its slot pushed onto the free list for reuse. The cost
+    /// is O(live + freed): the mark walks the live nodes, the sweep walks
+    /// the subtable chains, and each subtable then shrinks to fit its
+    /// survivors. Computed-table entries touching a dead id are purged;
+    /// entries over surviving nodes are kept, so cross-call memoisation
+    /// survives collection. Returns the number of nodes collected.
     ///
     /// Handles to collected nodes become stale — touching one afterwards is
     /// a logic error caught by a debug assertion.
     pub fn gc(&mut self) -> usize {
-        let len = self.core.store.len();
-        let mut marked = vec![false; len];
-        let mut stack: Vec<u32> = self.roots.keys().copied().collect();
-        while let Some(n) = stack.pop() {
-            if marked[n as usize] {
-                continue;
-            }
-            marked[n as usize] = true;
-            let (_, lo, hi) = self.core.node(n);
-            for c in [lo, hi] {
-                if c > ONE && !marked[c as usize] {
-                    stack.push(c);
-                }
-            }
-        }
-        self.core.purge_caches(|n| n > ONE && !marked[n as usize]);
-        self.isop.purge(|n| n > ONE && !marked[n as usize]);
-        let mut collected = 0usize;
-        for (id, live) in marked.iter().enumerate().take(len).skip(2) {
-            let (level, lo, hi) = self.core.store.raw(id as u32);
-            if level == FREE || *live {
-                continue;
-            }
-            self.core.unique_remove(level, lo, hi, id as u32);
-            self.core.release_slot(id as u32);
-            collected += 1;
-        }
+        let collected = self.core.gc(self.roots.keys().copied());
+        let core = &self.core;
+        self.isop.purge(|n| !core.is_live(n));
         collected
     }
 
@@ -374,7 +307,7 @@ impl BddManager {
     /// Panics if `var >= num_vars`.
     pub fn var(&mut self, var: usize) -> Bdd {
         assert!(var < self.num_vars(), "variable {var} out of range");
-        let level = self.level_of[var];
+        let level = self.core.level_of(var);
         Bdd(self.core.mk_unchecked(level, ZERO, ONE))
     }
 
@@ -385,7 +318,7 @@ impl BddManager {
     /// Panics if `var >= num_vars`.
     pub fn nvar(&mut self, var: usize) -> Bdd {
         assert!(var < self.num_vars(), "variable {var} out of range");
-        let level = self.level_of[var];
+        let level = self.core.level_of(var);
         Bdd(self.core.mk_unchecked(level, ONE, ZERO))
     }
 
@@ -393,7 +326,7 @@ impl BddManager {
     /// binary operation reduces to (memoised).
     pub fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
         self.op_counts.ite += 1;
-        Bdd(self.run_op(Task::Ite(f.0, g.0, h.0)))
+        Bdd(self.run_op([f.0, g.0, h.0], |core, [f, g, h]| core.ite_rec(f, g, h)))
     }
 
     /// Conjunction `f · g`.
@@ -444,7 +377,7 @@ impl BddManager {
             .iter()
             .map(|&(v, b)| {
                 assert!(v < self.num_vars(), "variable {v} out of range");
-                (self.level_of[v], b)
+                (self.core.level_of(v), b)
             })
             .collect();
         lits.sort_unstable();
@@ -453,7 +386,7 @@ impl BddManager {
             assert!(
                 w[0].0 != w[1].0,
                 "conflicting literals for variable {}",
-                self.var_at[w[0].0 as usize]
+                self.core.var_at(w[0].0 as usize)
             );
         }
         let mut acc = ONE;
@@ -471,7 +404,7 @@ impl BddManager {
     /// cube from [`cube_vars`](Self::cube_vars) (memoised).
     pub fn exists(&mut self, f: Bdd, vars: Bdd) -> Bdd {
         self.op_counts.exists += 1;
-        Bdd(self.run_op(Task::Exists(f.0, vars.0)))
+        Bdd(self.run_op([f.0, vars.0, ZERO], |core, [f, q, _]| core.exists_rec(f, q)))
     }
 
     /// The relational product `∃ vars. f · g` computed in one pass, without
@@ -479,15 +412,17 @@ impl BddManager {
     /// image computation.
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: Bdd) -> Bdd {
         self.op_counts.and_exists += 1;
-        Bdd(self.run_op(Task::AndExists(f.0, g.0, vars.0)))
+        Bdd(self.run_op([f.0, g.0, vars.0], |core, [f, g, q]| {
+            core.and_exists_rec(f, g, q)
+        }))
     }
 
-    /// Runs one public operation to completion: dispatch serial or
-    /// parallel, and when a kernel trips its live-node checkpoint, unwind,
-    /// run the reentrant maintenance pass, raise the effective limit enough
-    /// to guarantee progress, and retry against the (gc'd, possibly
+    /// Runs one public operation to completion: when the kernel hits the
+    /// live-node limit it unwinds, the reentrant maintenance pass runs with
+    /// the `operands` pinned, the effective limit rises enough to guarantee
+    /// progress, and the operation retries against the (gc'd, possibly
     /// reordered, cache-warmed) pool.
-    fn run_op(&mut self, task: Task) -> u32 {
+    fn run_op(&mut self, operands: [u32; 3], op: fn(&mut Core, [u32; 3]) -> OpResult) -> u32 {
         let base_limit = match &self.maint {
             Some(cfg) => cfg.live_limit,
             None => usize::MAX,
@@ -495,22 +430,23 @@ impl BddManager {
         let mut effective = base_limit;
         loop {
             self.core.arm_trip(effective);
-            let result = if self.threads > 1 && self.core.pool_size() >= self.parallel_floor {
-                crate::par::run(&self.core, self.threads, task)
-            } else {
-                self.core.run_task(task, &mut OpCtx::default())
-            };
+            let result = op(&mut self.core, operands);
             self.core.arm_trip(usize::MAX);
             match result {
                 Ok(r) => return r,
                 Err(_) => {
-                    self.maintain_mid_op(task);
+                    self.maintain_mid_op(operands);
                     // Maintenance may not reach base_limit (the operands
-                    // genuinely need more); give the retry headroom to
-                    // double the surviving pool so it always progresses.
-                    effective = effective
-                        .max(self.core.pool_size().saturating_mul(2))
-                        .max(base_limit);
+                    // genuinely need more): give the retry headroom to
+                    // double the surviving pool, and double the limit
+                    // itself when that would not raise it, so the retries
+                    // always terminate.
+                    let headroom = self.core.pool_size().saturating_mul(2).max(base_limit);
+                    effective = if headroom > effective {
+                        headroom
+                    } else {
+                        effective.saturating_mul(2)
+                    };
                 }
             }
         }
@@ -519,9 +455,8 @@ impl BddManager {
     /// The mid-operation maintenance pass: protect the interrupted
     /// operation's operands (nothing else pins them mid-call), collect, and
     /// — if the policy allows and the pool is still over the limit — sift.
-    fn maintain_mid_op(&mut self, task: Task) {
+    fn maintain_mid_op(&mut self, operands: [u32; 3]) {
         let Some(cfg) = self.maint else { return };
-        let operands = task_operands(task);
         for &id in &operands {
             self.protect(Bdd(id));
         }
@@ -597,7 +532,7 @@ impl BddManager {
         }
         let mut vars: Vec<usize> = (0..self.num_vars())
             .filter(|&l| on_level[l])
-            .map(|l| self.var_at[l] as usize)
+            .map(|l| self.var_at(l))
             .collect();
         vars.sort_unstable();
         vars
@@ -614,7 +549,7 @@ impl BddManager {
         let mut n = f.0;
         while n > ONE {
             let (level, lo, hi) = self.node(n);
-            n = if bits[self.var_at[level as usize] as usize] {
+            n = if bits[self.var_at(level as usize)] {
                 hi
             } else {
                 lo
@@ -626,73 +561,16 @@ impl BddManager {
     /// Checks every structural invariant of the pool, panicking with a
     /// description on the first violation: live nodes are reduced
     /// (`lo != hi`), reference only live strictly-deeper children, and are
-    /// registered exactly once in the unique table (so no two live nodes
-    /// share a `(level, lo, hi)` triple); the free list matches the freed
-    /// slots; the order arrays are a consistent permutation; and every
-    /// protected root is live. Intended for tests and debugging — cost is a
-    /// full pool scan.
+    /// registered exactly once in their level's unique subtable (so no two
+    /// live nodes share a `(level, lo, hi)` triple); the free list matches
+    /// the freed slots; the order arrays are a consistent permutation; and
+    /// every protected root is live. Intended for tests and debugging —
+    /// cost is a full pool scan.
     pub fn assert_invariants(&self) {
-        let len = self.core.store.len();
-        let mut live = 0usize;
-        for i in 2..len {
-            let (level, lo, hi) = self.core.store.raw(i as u32);
-            if level == FREE {
-                continue;
-            }
-            live += 1;
-            assert!(
-                (level as usize) < self.num_vars(),
-                "node {i}: level {level} out of range"
-            );
-            assert!(lo != hi, "node {i}: redundant (lo == hi == {lo})");
-            for c in [lo, hi] {
-                assert!(
-                    c <= ONE || self.core.store.level(c) != FREE,
-                    "node {i}: references freed child {c}"
-                );
-                assert!(
-                    self.level(c) > level,
-                    "node {i}: child {c} not strictly below level {level}"
-                );
-            }
-            assert_eq!(
-                self.core.unique_get(level, lo, hi),
-                Some(i as u32),
-                "node {i}: unique table misses it or maps its key elsewhere"
-            );
-        }
-        assert_eq!(
-            self.core.unique_len(),
-            live,
-            "unique table holds entries for dead nodes"
-        );
-        assert_eq!(
-            live + self.core.free_len(),
-            len - 2,
-            "free list out of sync with freed slots"
-        );
-        for v in 0..self.num_vars() {
-            assert_eq!(
-                self.var_at[self.level_of[v] as usize] as usize, v,
-                "level_of/var_at are not inverse permutations at variable {v}"
-            );
-        }
+        self.core.assert_invariants();
         for &id in self.roots.keys() {
-            assert!(
-                id <= ONE || self.core.store.level(id) != FREE,
-                "protected root {id} was collected"
-            );
+            assert!(self.core.is_live(id), "protected root {id} was collected");
         }
-    }
-}
-
-/// The operand ids a task holds across a maintenance pass (terminals are
-/// harmless to protect: `protect` ignores them).
-fn task_operands(task: Task) -> [u32; 3] {
-    match task {
-        Task::Ite(f, g, h) => [f, g, h],
-        Task::Exists(f, cube) => [f, cube, ZERO],
-        Task::AndExists(f, g, cube) => [f, g, cube],
     }
 }
 
@@ -1007,44 +885,6 @@ mod tests {
         assert_eq!(counts.ite, 3);
         assert_eq!(counts.exists, 1);
         assert_eq!(counts.and_exists, 1);
-    }
-
-    #[test]
-    fn parallel_dispatch_matches_serial_results() {
-        // Force the parallel path on a small pool and check handle-level
-        // equality against the serial manager: canonicity makes results
-        // comparable through evaluation and sat counts.
-        let build = |mgr: &mut BddManager| {
-            let mut f = mgr.zero();
-            for i in 0..4 {
-                let a = mgr.var(i);
-                let b = mgr.var(i + 4);
-                let t = mgr.xor(a, b);
-                f = mgr.or(f, t);
-            }
-            f
-        };
-        let mut serial = BddManager::new(8);
-        let fs = build(&mut serial);
-        for threads in [2, 4] {
-            let mut par = BddManager::new(8);
-            par.set_threads(threads);
-            par.set_parallel_floor(0);
-            let fp = build(&mut par);
-            assert_eq!(serial.sat_count(fs), par.sat_count(fp), "{threads} threads");
-            let q_serial = serial.cube_vars(&[0, 4]);
-            let q_par = par.cube_vars(&[0, 4]);
-            let es = serial.exists(fs, q_serial);
-            let ep = par.exists(fp, q_par);
-            assert_eq!(serial.sat_count(es), par.sat_count(ep));
-            let gs = serial.and_exists(fs, es, q_serial);
-            let gp = par.and_exists(fp, ep, q_par);
-            assert_eq!(serial.sat_count(gs), par.sat_count(gp));
-            for bits in assignments(8) {
-                assert_eq!(serial.eval(fs, &bits), par.eval(fp, &bits), "{bits:?}");
-            }
-            par.assert_invariants();
-        }
     }
 
     #[test]

@@ -37,11 +37,6 @@
 //!                          byte-identical either way; the split is
 //!                          reported as the ExtTim timing row
 //!   --workers N            worker threads (default: one per CPU)
-//!   --bdd-threads N        (symbolic engine) worker threads inside the
-//!                          BDD kernels themselves (default: --workers).
-//!                          Purely a wall-clock knob: equations, witnesses
-//!                          and operation counts are identical at any
-//!                          thread count
 //!   --budget N             traversal budget: max states (explicit sg),
 //!                          max live BDD nodes (symbolic sg) or slice
 //!                          budget (unfolding); defaults: 2000000 states /
@@ -117,7 +112,6 @@ struct Args {
     implicit_covers: bool,
     extract: CoverExtraction,
     workers: Option<usize>,
-    bdd_threads: Option<usize>,
     budget: Option<usize>,
     reorder: ReorderPolicy,
     order_seed: OrderSeed,
@@ -128,7 +122,7 @@ struct Args {
 fn usage() -> &'static str {
     "Usage: synth <spec.g> [--flow sg|unfolding|auto] [--engine explicit|symbolic|auto] \
      [--cover exact|approx] [--covers implicit|explicit] [--extract isop|translate] \
-     [--workers N] [--bdd-threads N] [--budget N] [--reorder off|sift|auto] \
+     [--workers N] [--budget N] [--reorder off|sift|auto] \
      [--order-seed adjacency|invariants] [--invert] [--lint | --lint-json]"
 }
 
@@ -141,7 +135,6 @@ fn parse_args() -> Result<Args, String> {
     let mut implicit_covers = true;
     let mut extract = CoverExtraction::default();
     let mut workers = None;
-    let mut bdd_threads = None;
     let mut budget = None;
     let mut reorder = ReorderPolicy::Auto;
     let mut order_seed = OrderSeed::SignalAdjacency;
@@ -200,14 +193,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--workers needs a positive integer")?;
                 workers = Some(n);
             }
-            "--bdd-threads" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--bdd-threads needs a positive integer")?;
-                bdd_threads = Some(n);
-            }
             "--budget" => {
                 let n = args
                     .next()
@@ -258,7 +243,6 @@ fn parse_args() -> Result<Args, String> {
         implicit_covers,
         extract,
         workers,
-        bdd_threads,
         budget,
         reorder,
         order_seed,
@@ -405,7 +389,6 @@ fn run_sg(
         exact_minimization: args.exact,
         allow_inversion: args.invert,
         workers: args.workers,
-        bdd_threads: args.bdd_threads,
         implicit_covers: args.implicit_covers,
         extraction: args.extract,
         ..defaults
@@ -493,15 +476,14 @@ fn run_sg(
             stats.gc_collected
         );
         println!(
-            "{:>10} {:>10}   ({} runs, peak {} live nodes)",
+            "{:>10} {:>10}   ({} runs, peak {} live nodes after a collection)",
             "reorder",
             secs(stats.reorder_time),
             stats.reorder_runs,
             stats.peak_live_nodes
         );
-        // Deterministic kernel-call counters (identical at any thread
-        // count — the cross-machine perf proxy) plus the schedule-dependent
-        // mid-operation figures.
+        // Deterministic kernel-call counters (the cross-machine perf
+        // proxy) plus the mid-operation figures.
         println!(
             "  symbolic ops: ite {} / exists {} / and-exists {} \
              (reentrant maintenance {}, peak pool {})",

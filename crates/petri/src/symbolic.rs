@@ -113,16 +113,6 @@ pub struct SymbolicOptions {
     /// dead weight; without it, skipping turns an [`NetError::Unsafe`]
     /// diagnosis into a silently wrong reachable set.
     pub assume_one_safe: bool,
-    /// Worker threads for the BDD kernels themselves (`None` = 1, serial).
-    /// Affects wall-clock and node ids only: the reachable set, enabling
-    /// sets, state counts and [`SymbolicStats::ops`] are identical at any
-    /// thread count.
-    pub bdd_threads: Option<usize>,
-    /// Pool size below which operations stay serial even with
-    /// `bdd_threads > 1` (`None` = the manager default): forking workers
-    /// over a small diagram costs more than it saves. Tests set `Some(0)`
-    /// to force the parallel path on small nets.
-    pub bdd_parallel_floor: Option<usize>,
     /// Arm the manager's reentrant maintenance: long-running kernels poll
     /// the live-node budget at recursion checkpoints and run a GC (plus a
     /// sift, under the `Sift`/`Auto` policies) *mid-operation* instead of
@@ -145,8 +135,6 @@ impl Default for SymbolicOptions {
             gc_threshold: 1 << 20,
             reorder_threshold: AutoReorder::DEFAULT_THRESHOLD,
             assume_one_safe: false,
-            bdd_threads: None,
-            bdd_parallel_floor: None,
             reentrant: true,
         }
     }
@@ -165,24 +153,27 @@ pub struct SymbolicStats {
     pub gc_time: Duration,
     /// Wall-clock time spent sifting.
     pub reorder_time: Duration,
-    /// Maximum pool size observed at the between-iteration checkpoints,
-    /// after any collection/reordering that round. Checkpoints where no
-    /// collection fired still count garbage, so with
-    /// [`SymbolicOptions::gc_threshold`] `== 0` (collect every iteration)
-    /// this is the exact live peak — the smallest
-    /// [`SymbolicOptions::node_budget`] the run fits in.
+    /// Largest live pool measured right after a between-iteration
+    /// collection — the only checkpoints where the live size is exact
+    /// (elsewhere the pool still holds garbage). `0` when no collection
+    /// ran. With [`SymbolicOptions::gc_threshold`] `== 0` (collect every
+    /// iteration) and no sifting this is the live peak over all
+    /// checkpoints — the smallest [`SymbolicOptions::node_budget`] the run
+    /// fits in.
     pub peak_live_nodes: usize,
+    /// Live pool `(before, after)` of each sift, in order.
+    pub sifts: Vec<(usize, usize)>,
     /// Deterministic operation counters: public `ite`/`exists`/`and_exists`
-    /// calls issued by the run. Identical at any thread count and under any
-    /// GC/reorder schedule — the perf proxy CI pins on a 1-CPU runner.
+    /// calls issued by the run. Identical under any GC/reorder schedule —
+    /// the machine-independent perf proxy CI pins.
     pub ops: OpCounts,
-    /// Reentrant mid-operation maintenance passes (GC/reorder at a kernel
-    /// checkpoint). Schedule-dependent: do not pin.
+    /// Reentrant mid-operation maintenance passes (GC/reorder when a kernel
+    /// hit the live-node limit).
     pub reentrant_maintenance: usize,
-    /// Largest pool size sampled at kernel checkpoints or operation
-    /// boundaries — visible even when the peak occurred *inside* one
+    /// Largest pool size (live plus not-yet-collected nodes) reached at any
+    /// node allocation — visible even when the peak occurred *inside* one
     /// operation, which [`peak_live_nodes`](Self::peak_live_nodes) cannot
-    /// see. Schedule-dependent: do not pin.
+    /// see.
     pub peak_pool: usize,
 }
 
@@ -254,10 +245,6 @@ impl SymbolicReach {
             .unwrap_or_else(|| (0..n).collect::<Vec<_>>());
         assert_eq!(order.len(), n, "order must cover every logical variable");
         let mut mgr = BddManager::with_order(order);
-        mgr.set_threads(options.bdd_threads.unwrap_or(1));
-        if let Some(floor) = options.bdd_parallel_floor {
-            mgr.set_parallel_floor(floor);
-        }
         if options.reentrant {
             mgr.set_maintenance(Some(ReentrantConfig {
                 live_limit: options.node_budget,
@@ -424,14 +411,16 @@ impl SymbolicReach {
         for r in roots {
             mgr.protect(r);
         }
-        if over_gc || over_budget {
+        let collect = over_gc || over_budget;
+        if collect {
             let t = Instant::now();
             stats.gc_collected += mgr.gc();
             stats.gc_time += t.elapsed();
             stats.gc_runs += 1;
+            stats.peak_live_nodes = stats.peak_live_nodes.max(mgr.pool_size());
         }
         let live = mgr.pool_size();
-        let want_sift = (over_gc || over_budget)
+        let want_sift = collect
             && match options.reorder {
                 ReorderPolicy::Off => false,
                 // Last resort: only when the budget would otherwise fail.
@@ -441,7 +430,9 @@ impl SymbolicReach {
             };
         if want_sift {
             let t = Instant::now();
-            mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH);
+            stats
+                .sifts
+                .push(mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH));
             stats.reorder_time += t.elapsed();
             stats.reorder_runs += 1;
             auto.rearm(mgr.pool_size());
@@ -454,7 +445,6 @@ impl SymbolicReach {
                 budget: options.node_budget,
             });
         }
-        stats.peak_live_nodes = stats.peak_live_nodes.max(mgr.pool_size());
         Ok(())
     }
 
@@ -943,40 +933,6 @@ mod tests {
             n_auto < n_off,
             "sifting should shrink the reachable set: {n_auto} vs {n_off}"
         );
-    }
-
-    #[test]
-    fn bdd_threads_match_serial_results_and_op_counts() {
-        let net = independent_cycles(10);
-        let reference =
-            SymbolicReach::explore(&net, &SymbolicOptions::default()).expect("explores");
-        for threads in [2, 4] {
-            let options = SymbolicOptions {
-                bdd_threads: Some(threads),
-                // Force the parallel path: this net never reaches the
-                // manager's default floor.
-                bdd_parallel_floor: Some(0),
-                ..SymbolicOptions::default()
-            };
-            let reach = SymbolicReach::explore(&net, &options).expect("explores");
-            assert_eq!(
-                reach.state_count(),
-                reference.state_count(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                reach.stats().ops,
-                reference.stats().ops,
-                "{threads} threads: op counts must not depend on the schedule"
-            );
-            for t in net.transitions() {
-                assert_eq!(
-                    reach.manager().sat_count(reach.enabling(t)),
-                    reference.manager().sat_count(reference.enabling(t)),
-                    "{threads} threads: enabling({t})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -68,16 +68,10 @@ pub struct SymbolicTuning {
     /// proof — and pinned byte-identical by the equivalence suites;
     /// `false` keeps the dynamic check for cross-checks and ablations.
     pub safety_certificates: bool,
-    /// Worker threads for the BDD kernels (`None` = serial). Purely a
-    /// wall-clock knob: equations, witnesses and operation counts are
-    /// identical at any thread count.
+    /// Always `None`: the BDD kernel is serial and reads no thread count.
+    /// The field exists only because the benchmark driver
+    /// (`perfbench/src/flows.rs`) reads it.
     pub bdd_threads: Option<usize>,
-    /// Minimum pool size before kernel calls dispatch to the parallel
-    /// frontier decomposition (`None` = the manager default). Below the
-    /// floor even multi-threaded managers run serially — forking work for
-    /// tiny diagrams costs more than it saves. Tests set `Some(0)` so small
-    /// specifications still exercise the parallel path.
-    pub bdd_parallel_floor: Option<usize>,
 }
 
 /// The structural heuristic that seeds the static BDD variable order
@@ -137,7 +131,6 @@ impl Default for SymbolicTuning {
             order_seed: OrderSeed::SignalAdjacency,
             safety_certificates: true,
             bdd_threads: None,
-            bdd_parallel_floor: None,
         }
     }
 }
@@ -161,8 +154,6 @@ impl SymbolicTuning {
             reorder: self.reorder,
             gc_threshold: self.gc_threshold,
             reorder_threshold: self.reorder_threshold,
-            bdd_threads: self.bdd_threads,
-            bdd_parallel_floor: self.bdd_parallel_floor,
             ..SymbolicOptions::default()
         }
     }

@@ -413,12 +413,6 @@ pub struct SgSynthesisOptions {
     /// equations are byte-identical either way (pinned by the
     /// equivalence tests).
     pub extraction: CoverExtraction,
-    /// Worker threads inside the symbolic engine's BDD kernels; `None`
-    /// inherits [`workers`](Self::workers) (so one `--workers` knob speeds
-    /// up both the traversal and the per-signal minimisation). Purely a
-    /// wall-clock knob: equations, witnesses and operation counts are
-    /// identical at any thread count.
-    pub bdd_threads: Option<usize>,
 }
 
 impl Default for SgSynthesisOptions {
@@ -436,7 +430,6 @@ impl Default for SgSynthesisOptions {
             implicit_covers: true,
             symbolic_order_seed: tuning.order_seed,
             extraction: CoverExtraction::default(),
-            bdd_threads: None,
         }
     }
 }
@@ -449,10 +442,6 @@ impl SgSynthesisOptions {
             reorder: self.symbolic_reorder,
             gc_threshold: self.symbolic_gc_threshold,
             order_seed: self.symbolic_order_seed,
-            bdd_threads: self
-                .bdd_threads
-                .or(self.workers)
-                .or_else(|| std::thread::available_parallelism().map(|p| p.get()).ok()),
             ..SymbolicTuning::default()
         }
     }

@@ -200,20 +200,18 @@ proptest! {
     }
 
     #[test]
-    fn kernel_thread_count_preserves_every_function(
+    fn static_order_preserves_every_function(
         w in 3usize..8,
         ops in vec(op(), 1..24),
         mutations in vec(mutation(), 1..6),
         seed in any::<u64>(),
     ) {
-        // The work-stealing apply is a pure wall-clock knob: the same
-        // random program, run under multi-threaded managers with the
-        // parallel dispatch floor forced to 0 (so even tiny diagrams take
-        // the parallel path), must land on semantically identical functions
-        // — same model counts, same point evaluations, same canonical
-        // implicit covers — and survive the same mutation sequences. Node
-        // *indices* are allocation-order-dependent and deliberately not
-        // compared.
+        // The static variable order is a layout choice only: the same
+        // random program, run in managers seeded with other orders, must
+        // land on semantically identical functions — same model counts,
+        // same point evaluations, same canonical implicit covers — and
+        // survive the same mutation sequences. Node *indices* are
+        // layout-dependent and deliberately not compared.
         let mut serial = BddManager::new(w);
         let stack = run_program(&mut serial, &ops);
         let mut pool = ImplicitPool::new(w);
@@ -227,34 +225,34 @@ proptest! {
             .map(|&f| implicit_of(&serial, f, &mut pool))
             .collect();
 
-        for threads in [2usize, 4] {
-            let mut mgr = BddManager::new(w);
-            mgr.set_threads(threads);
-            mgr.set_parallel_floor(0);
-            let threaded = run_program(&mut mgr, &ops);
-            for &f in &threaded {
+        let reversed: Vec<usize> = (0..w).rev().collect();
+        let rotated: Vec<usize> = (0..w).map(|l| (l + 1) % w).collect();
+        for order in [reversed, rotated] {
+            let mut mgr = BddManager::with_order(order.clone());
+            let seeded = run_program(&mut mgr, &ops);
+            for &f in &seeded {
                 mgr.protect(f);
             }
             mgr.assert_invariants();
-            for (i, &f) in threaded.iter().enumerate() {
+            for (i, &f) in seeded.iter().enumerate() {
                 prop_assert_eq!(
                     mgr.sat_count(f), counts[i],
-                    "sat_count differs at {} threads", threads
+                    "sat_count differs under order {:?}", order
                 );
                 for j in 0..16u64 {
                     prop_assert_eq!(
                         mgr.eval(f, &assignment(seed, j, w)),
                         evals[i][j as usize],
-                        "eval differs at {} threads", threads
+                        "eval differs under order {:?}", order
                     );
                 }
                 prop_assert_eq!(
                     implicit_of(&mgr, f, &mut pool), sets[i].clone(),
-                    "canonical cover differs at {} threads", threads
+                    "canonical cover differs under order {:?}", order
                 );
             }
             // The mutation machinery (swaps, sifting, collection) must be
-            // just as function-preserving in a multi-threaded manager.
+            // just as function-preserving from any starting order.
             for m in &mutations {
                 match m {
                     Mutation::Swap(l) => mgr.swap_levels(*l as usize % (w - 1)),
@@ -267,18 +265,18 @@ proptest! {
                 }
                 mgr.assert_invariants();
             }
-            for (i, &f) in threaded.iter().enumerate() {
+            for (i, &f) in seeded.iter().enumerate() {
                 prop_assert!(mgr.is_live(f), "mutations collected a protected handle");
                 prop_assert_eq!(
                     mgr.sat_count(f), counts[i],
-                    "sat_count drifted after mutations at {} threads", threads
+                    "sat_count drifted after mutations under order {:?}", order
                 );
                 prop_assert_eq!(
                     implicit_of(&mgr, f, &mut pool), sets[i].clone(),
-                    "canonical cover drifted after mutations at {} threads", threads
+                    "canonical cover drifted after mutations under order {:?}", order
                 );
             }
-            for &f in &threaded {
+            for &f in &seeded {
                 mgr.unprotect(f);
             }
         }

@@ -10,6 +10,7 @@ use si_synth::stategraph::{
 };
 use si_synth::stg::generators::{muller_pipeline, wide_arbiter};
 use si_synth::stg::suite::{synthesisable, vme_read_no_csc};
+use si_synth::stg::{parse_g, write_g};
 
 #[test]
 fn whole_suite_engines_agree_byte_for_byte() {
@@ -192,4 +193,57 @@ fn symbolic_engine_crosses_the_explicit_budget_wall() {
     // Every stage is a C-element: c_i = c_{i-1} c_i + c_{i-1} c_{i+1}' +
     // c_i c_{i+1}' (3 cubes, 6 literals).
     assert_eq!(symbolic.literal_count(), 14 * 6);
+}
+
+/// `wide_arbiter(14)` as the `synth` CLI sees it (written to `.g` and
+/// parsed back, which fixes the place and signal numbering) with the CLI's
+/// symbolic defaults: `Auto` reordering, default GC threshold and seed.
+fn wide_arbiter_14_under_cli_defaults() -> SymbolicSg {
+    let stg = parse_g(&write_g(&wide_arbiter(14))).expect("round-trips");
+    let options = SgSynthesisOptions {
+        engine: SgEngine::Symbolic,
+        symbolic_reorder: ReorderPolicy::Auto,
+        ..Default::default()
+    };
+    SymbolicSg::build(&stg, &options.symbolic_tuning()).expect("symbolic reachability succeeds")
+}
+
+#[test]
+fn wide_arbiter_14_sift_is_pinned() {
+    // The single auto sift of this run, pinned to what the kernel it
+    // replaced did: the same live pool before and after, the same final
+    // variable order. Sifting decisions depend only on exact live counts,
+    // so any kernel that keeps them exact must land here too.
+    let sym = wide_arbiter_14_under_cli_defaults();
+    let stats = sym.reach().stats();
+    assert_eq!(stats.sifts, vec![(27_794, 6_563)]);
+    assert_eq!(stats.reorder_runs, 1);
+    assert_eq!(
+        sym.reach().manager().order(),
+        vec![
+            31, 46, 61, 0, 16, 70, 60, 15, 62, 30, 45, 69, 47, 32, 2, 17, 63, 48, 33, 3, 18, 71,
+            49, 34, 64, 19, 4, 50, 35, 5, 20, 72, 51, 36, 65, 21, 6, 7, 22, 52, 37, 73, 53, 38, 66,
+            23, 8, 39, 24, 54, 9, 74, 10, 25, 67, 40, 55, 11, 56, 26, 41, 13, 58, 27, 12, 68, 57,
+            75, 42, 28, 43, 44, 59, 76, 29, 14, 1,
+        ]
+    );
+    assert_eq!(sym.state_count(), 1 << 16);
+    assert_eq!((stats.ops.ite, stats.ops.exists), (11_754, 3_532));
+}
+
+#[test]
+fn wide_arbiter_14_reports_a_live_peak_not_the_gc_threshold() {
+    // The pool crosses the 2^20 collection threshold once; the live peak
+    // is read right after that collection, so it must report the live
+    // pool there (27 794 nodes) rather than the garbage-laden pool that
+    // triggered it.
+    let sym = wide_arbiter_14_under_cli_defaults();
+    let stats = sym.reach().stats();
+    assert_eq!(stats.gc_runs, 1);
+    assert!(stats.peak_live_nodes < 1 << 20, "{}", stats.peak_live_nodes);
+    assert_eq!(stats.peak_live_nodes, 27_794);
+    assert!(
+        stats.peak_pool > 1 << 20,
+        "the pool itself did cross the threshold"
+    );
 }

@@ -1,21 +1,20 @@
 //! `cargo xtask bench` — symbolic-engine scaling harness.
 //!
 //! Runs the SG flow's BDD engine over the large `benchmarks/*.g`
-//! specifications at several `bdd_threads` settings and reports, per run:
-//! end-to-end wall clock, the reach/extract/minimise split (extraction is
-//! the ISOP front end turning the reachable BDD into per-signal implicit
-//! sets), peak live nodes at the fixpoint checkpoints, and the
-//! deterministic kernel operation counts.
-//! Every multi-threaded run is cross-checked against the single-threaded
-//! reference: gate equations (byte-for-byte), state counts and op counts
-//! must be identical, so the harness doubles as a determinism gate.
+//! specifications and reports one row per specification: end-to-end wall
+//! clock and the reach/extract split (extraction is the ISOP front end
+//! turning the reachable BDD into per-signal implicit sets), each the
+//! minimum over [`RUNS`] repetitions; the live peak after a collection; the
+//! pool peak; and the deterministic kernel operation counts. Every
+//! repetition must reproduce the first one's gate equations, state count
+//! and op counts, so the harness doubles as a determinism gate.
 //!
 //! With `--json`, the rows are also written to `BENCH_symbolic.json` at
-//! the workspace root. Wall-clock scaling needs a multi-core host — on a
-//! single-CPU runner the threaded rows mostly measure scheduling overhead
-//! — which is why the JSON records `host_cpus` alongside the timings and
-//! why CI pins the machine-independent columns (op counts, peak live
-//! nodes, equations) rather than the wall clock.
+//! the workspace root. `--baseline FILE` names a JSON file this harness
+//! wrote on an earlier commit: each row then also carries that run's
+//! `wall_ms`/`reach_ms` as `before_wall_ms`/`before_reach_ms`, so one file
+//! holds the before/after pair of a kernel change. CI pins the
+//! machine-independent columns (op counts, equations), not the wall clock.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -24,11 +23,10 @@ use si_stategraph::{
     check_implementable, synthesize_from_on_off_sets, ReorderPolicy, SgEngine, SgSynthesisOptions,
     SymbolicSg,
 };
-use si_stg::parse_g;
+use si_stg::{parse_g, Stg};
 
-/// Default benchmark set: the specifications the concurrent-engine work
-/// targets (wide enough for the parallel apply to matter) plus one small
-/// control.
+/// Default benchmark set: the large specifications the symbolic engine
+/// targets plus one small control.
 const DEFAULT_BENCHES: &[&str] = &[
     "muller_pipeline_20",
     "muller_pipeline_24",
@@ -36,17 +34,22 @@ const DEFAULT_BENCHES: &[&str] = &[
     "token_ring_12",
 ];
 
-/// Determinism reference from the single-threaded run: equations, state
+/// Repetitions per specification (the row keeps the minimum).
+const RUNS: usize = 3;
+
+/// Determinism reference from the first repetition: equations, state
 /// count, `(ite, exists, and_exists)` op counts.
 type Fingerprint = (Vec<String>, u128, (u64, u64, u64));
 
-/// One measured run.
+/// One specification's measured row.
 struct Row {
     benchmark: String,
-    bdd_threads: usize,
+    runs: usize,
     wall_ms: f64,
     reach_ms: f64,
     extract_ms: f64,
+    /// `(wall_ms, reach_ms)` of the baseline file's row, if any.
+    before: Option<(f64, f64)>,
     states: u128,
     peak_live_nodes: usize,
     peak_pool: usize,
@@ -54,172 +57,118 @@ struct Row {
     ops_exists: u64,
     ops_and_exists: u64,
     literals: usize,
-    matches_reference: bool,
+    deterministic: bool,
+}
+
+/// One repetition's measurements.
+struct Sample {
+    wall_ms: f64,
+    reach_ms: f64,
+    extract_ms: f64,
+    fingerprint: Fingerprint,
+    peak_live_nodes: usize,
+    peak_pool: usize,
+    literals: usize,
 }
 
 pub fn run(args: Vec<String>) -> ExitCode {
     let mut json = false;
-    let mut threads: Vec<usize> = vec![1, 2, 4];
+    let mut baseline: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--threads" => {
-                let Some(list) = iter.next() else {
-                    eprintln!("--threads needs a comma-separated list, e.g. --threads 1,2,4");
-                    return ExitCode::from(2);
-                };
-                match list.split(',').map(str::parse).collect() {
-                    Ok(t) => threads = t,
+            "--baseline" => match iter.next() {
+                Some(path) => match std::fs::read_to_string(&path) {
+                    Ok(text) => baseline = Some(text),
                     Err(e) => {
-                        eprintln!("bad --threads list `{list}`: {e}");
+                        eprintln!("cannot read {path}: {e}");
                         return ExitCode::from(2);
                     }
+                },
+                None => {
+                    eprintln!("--baseline needs a file written by `bench --json`");
+                    return ExitCode::from(2);
                 }
-            }
+            },
             name => names.push(name.trim_end_matches(".g").to_owned()),
         }
     }
     if names.is_empty() {
         names = DEFAULT_BENCHES.iter().map(|s| (*s).to_owned()).collect();
     }
-    if threads.is_empty() || threads[0] != 1 {
-        // The single-threaded run is the determinism reference; make sure
-        // it exists and comes first.
-        threads.retain(|&t| t != 1);
-        threads.insert(0, 1);
-    }
 
     let root = crate::workspace_root();
     let mut rows: Vec<Row> = Vec::new();
     println!(
-        "{:<20} {:>7} {:>9} {:>9} {:>9} {:>12} {:>10} {:>8} {:>8} {:>5}",
-        "benchmark",
-        "threads",
-        "wall-ms",
-        "reach-ms",
-        "ext-ms",
-        "states",
-        "peak-live",
-        "ite",
-        "exists",
-        "ok"
+        "{:<20} {:>9} {:>9} {:>9} {:>12} {:>10} {:>8} {:>8} {:>5}",
+        "benchmark", "wall-ms", "reach-ms", "ext-ms", "states", "peak-live", "ite", "exists", "det"
     );
     for name in &names {
         let path = root.join("benchmarks").join(format!("{name}.g"));
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let stg = match std::fs::read_to_string(&path) {
+            Ok(text) => match parse_g(&text) {
+                Ok(stg) => stg,
+                Err(e) => {
+                    eprintln!("{}: {e}", path.display());
+                    return ExitCode::from(2);
+                }
+            },
             Err(e) => {
                 eprintln!("cannot read {}: {e}", path.display());
                 return ExitCode::from(2);
             }
         };
-        let stg = match parse_g(&text) {
-            Ok(stg) => stg,
-            Err(e) => {
-                eprintln!("{}: {e}", path.display());
-                return ExitCode::from(2);
+        let mut samples: Vec<Sample> = Vec::with_capacity(RUNS);
+        for _ in 0..RUNS {
+            match measure(&stg) {
+                Ok(sample) => samples.push(sample),
+                Err(e) => {
+                    eprintln!("{name}: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
-        };
-
-        // Reference fingerprint from the single-threaded run, filled on the
-        // first iteration: equations, state count, op counts.
-        let mut reference: Option<Fingerprint> = None;
-        for &t in &threads {
-            // `Auto` reordering matches the `synth` CLI default: the
-            // wide-arbiter family has no good static order and runs for
-            // minutes without it (see README).
-            let options = SgSynthesisOptions {
-                engine: SgEngine::Symbolic,
-                symbolic_reorder: ReorderPolicy::Auto,
-                bdd_threads: Some(t),
-                ..SgSynthesisOptions::default()
-            };
-            let wall_start = Instant::now();
-            let mut sym = match SymbolicSg::build(&stg, &options.symbolic_tuning()) {
-                Ok(sym) => sym,
-                Err(e) => {
-                    eprintln!("{name} (bdd_threads {t}): symbolic reachability failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let reach_ms = wall_start.elapsed().as_secs_f64() * 1e3;
-            // Extraction timed apart from minimisation: ext-ms is the
-            // front end turning the reachable BDD into per-signal
-            // implicit sets (the translation tax this column tracks).
-            let signals = match check_implementable(&stg) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{name} (bdd_threads {t}): synthesis failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let ext_start = Instant::now();
-            let sets = sym.extract_on_off_sets(&signals, options.extraction);
-            let extract_ms = ext_start.elapsed().as_secs_f64() * 1e3;
-            let result = match synthesize_from_on_off_sets(&stg, sets, &options) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{name} (bdd_threads {t}): synthesis failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
-
-            let stats = sym.reach().stats();
-            let equations: Vec<String> = result.gates.iter().map(|g| g.equation(&stg)).collect();
-            let fingerprint = (
-                equations,
-                sym.state_count(),
-                (stats.ops.ite, stats.ops.exists, stats.ops.and_exists),
-            );
-            let matches_reference = match &reference {
-                None => {
-                    reference = Some(fingerprint);
-                    true
-                }
-                Some(reference) => *reference == fingerprint,
-            };
-
-            let row = Row {
-                benchmark: name.clone(),
-                bdd_threads: t,
-                wall_ms,
-                reach_ms,
-                extract_ms,
-                states: sym.state_count(),
-                peak_live_nodes: stats.peak_live_nodes,
-                peak_pool: stats.peak_pool,
-                ops_ite: stats.ops.ite,
-                ops_exists: stats.ops.exists,
-                ops_and_exists: stats.ops.and_exists,
-                literals: result.literal_count(),
-                matches_reference,
-            };
-            println!(
-                "{:<20} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>12} {:>10} {:>8} {:>8} {:>5}",
-                row.benchmark,
-                row.bdd_threads,
-                row.wall_ms,
-                row.reach_ms,
-                row.extract_ms,
-                row.states,
-                row.peak_live_nodes,
-                row.ops_ite,
-                row.ops_exists,
-                if row.matches_reference { "yes" } else { "NO" }
-            );
-            rows.push(row);
         }
+        let first = &samples[0];
+        let min = |f: fn(&Sample) -> f64| samples.iter().map(f).fold(f64::INFINITY, f64::min);
+        let (_, states, (ite, exists, and_exists)) = first.fingerprint;
+        let row = Row {
+            benchmark: name.clone(),
+            runs: RUNS,
+            wall_ms: min(|s| s.wall_ms),
+            reach_ms: min(|s| s.reach_ms),
+            extract_ms: min(|s| s.extract_ms),
+            before: baseline.as_deref().and_then(|b| baseline_times(b, name)),
+            states,
+            peak_live_nodes: first.peak_live_nodes,
+            peak_pool: first.peak_pool,
+            ops_ite: ite,
+            ops_exists: exists,
+            ops_and_exists: and_exists,
+            literals: first.literals,
+            deterministic: samples.iter().all(|s| s.fingerprint == first.fingerprint),
+        };
+        println!(
+            "{:<20} {:>9.1} {:>9.1} {:>9.1} {:>12} {:>10} {:>8} {:>8} {:>5}",
+            row.benchmark,
+            row.wall_ms,
+            row.reach_ms,
+            row.extract_ms,
+            row.states,
+            row.peak_live_nodes,
+            row.ops_ite,
+            row.ops_exists,
+            if row.deterministic { "yes" } else { "NO" }
+        );
+        rows.push(row);
     }
 
-    let divergent: Vec<&Row> = rows.iter().filter(|r| !r.matches_reference).collect();
+    let divergent: Vec<&Row> = rows.iter().filter(|r| !r.deterministic).collect();
     for row in &divergent {
         eprintln!(
-            "bench: {} at bdd_threads {} diverged from the single-threaded reference \
-             (equations, state count or op counts differ)",
-            row.benchmark, row.bdd_threads
+            "bench: {} is not reproducible across runs (equations, state count or op counts differ)",
+            row.benchmark
         );
     }
 
@@ -239,6 +188,56 @@ pub fn run(args: Vec<String>) -> ExitCode {
     }
 }
 
+/// One repetition: symbolic reach, ISOP extraction and minimisation under
+/// the `synth` CLI's symbolic defaults.
+fn measure(stg: &Stg) -> Result<Sample, String> {
+    // `Auto` reordering matches the `synth` CLI default: the wide-arbiter
+    // family has no good static order and runs for minutes without it.
+    let options = SgSynthesisOptions {
+        engine: SgEngine::Symbolic,
+        symbolic_reorder: ReorderPolicy::Auto,
+        ..SgSynthesisOptions::default()
+    };
+    let wall_start = Instant::now();
+    let mut sym = SymbolicSg::build(stg, &options.symbolic_tuning())
+        .map_err(|e| format!("symbolic reachability failed: {e}"))?;
+    let reach_ms = wall_start.elapsed().as_secs_f64() * 1e3;
+    let signals = check_implementable(stg).map_err(|e| format!("synthesis failed: {e}"))?;
+    let ext_start = Instant::now();
+    let sets = sym.extract_on_off_sets(&signals, options.extraction);
+    let extract_ms = ext_start.elapsed().as_secs_f64() * 1e3;
+    let result = synthesize_from_on_off_sets(stg, sets, &options)
+        .map_err(|e| format!("synthesis failed: {e}"))?;
+    let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
+    let stats = sym.reach().stats();
+    Ok(Sample {
+        wall_ms,
+        reach_ms,
+        extract_ms,
+        fingerprint: (
+            result.gates.iter().map(|g| g.equation(stg)).collect(),
+            sym.state_count(),
+            (stats.ops.ite, stats.ops.exists, stats.ops.and_exists),
+        ),
+        peak_live_nodes: stats.peak_live_nodes,
+        peak_pool: stats.peak_pool,
+        literals: result.literal_count(),
+    })
+}
+
+/// The `(wall_ms, reach_ms)` of `name`'s row in a file [`render_json`]
+/// wrote (one row per line).
+fn baseline_times(json: &str, name: &str) -> Option<(f64, f64)> {
+    let line = json
+        .lines()
+        .find(|l| l.contains(&format!("\"benchmark\": \"{name}\"")))?;
+    let field = |key: &str| -> Option<f64> {
+        let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+        rest[..rest.find([',', '}'])?].trim().parse().ok()
+    };
+    Some((field("wall_ms")?, field("reach_ms")?))
+}
+
 /// Hand-rolled JSON (the workspace builds offline: no serde). Every value
 /// is a number, a bool or an escape-free ASCII string, so plain string
 /// assembly is safe.
@@ -249,21 +248,29 @@ fn render_json(rows: &[Row]) -> String {
     s.push_str("  \"harness\": \"cargo xtask bench --json\",\n");
     s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     s.push_str(
-        "  \"note\": \"wall_ms scales with bdd_threads only on multi-core hosts; \
-         ops_* and peak_live_nodes are identical at any thread count and are \
-         the columns CI pins\",\n",
+        "  \"note\": \"one serial run per row, wall_ms/reach_ms/extract_ms the minimum over \
+         `runs` repetitions; before_* come from the --baseline file of an earlier commit; \
+         peak_live_nodes is the live pool after a collection and peak_pool the largest pool \
+         at any allocation; ops_* and the equations are machine-independent and are what CI \
+         pins\",\n",
     );
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let before = match r.before {
+            Some((wall, reach)) => {
+                format!("\"before_wall_ms\": {wall:.1}, \"before_reach_ms\": {reach:.1}, ")
+            }
+            None => String::new(),
+        };
         s.push_str(&format!(
             "    {{\"benchmark\": \"{}\", \"flow\": \"sg\", \"engine\": \"symbolic\", \
-             \"bdd_threads\": {}, \"wall_ms\": {:.1}, \"reach_ms\": {:.1}, \
+             \"runs\": {}, {before}\"wall_ms\": {:.1}, \"reach_ms\": {:.1}, \
              \"extract_ms\": {:.1}, \
              \"states\": {}, \"peak_live_nodes\": {}, \"peak_pool\": {}, \
              \"ops_ite\": {}, \"ops_exists\": {}, \"ops_and_exists\": {}, \
-             \"literals\": {}, \"matches_reference\": {}}}{}\n",
+             \"literals\": {}, \"deterministic\": {}}}{}\n",
             r.benchmark,
-            r.bdd_threads,
+            r.runs,
             r.wall_ms,
             r.reach_ms,
             r.extract_ms,
@@ -274,7 +281,7 @@ fn render_json(rows: &[Row]) -> String {
             r.ops_exists,
             r.ops_and_exists,
             r.literals,
-            r.matches_reference,
+            r.deterministic,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -286,14 +293,14 @@ fn render_json(rows: &[Row]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let rows = vec![Row {
+    fn demo_row(before: Option<(f64, f64)>) -> Row {
+        Row {
             benchmark: "demo".into(),
-            bdd_threads: 2,
+            runs: 3,
             wall_ms: 12.5,
             reach_ms: 10.0,
             extract_ms: 1.5,
+            before,
             states: 64,
             peak_live_nodes: 100,
             peak_pool: 120,
@@ -301,19 +308,36 @@ mod tests {
             ops_exists: 3,
             ops_and_exists: 0,
             literals: 4,
-            matches_reference: true,
-        }];
-        let json = render_json(&rows);
+            deterministic: true,
+        }
+    }
+
+    #[test]
+    fn json_rendering_is_well_formed() {
+        let json = render_json(&[demo_row(None)]);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"benchmark\": \"demo\""));
-        assert!(json.contains("\"bdd_threads\": 2"));
+        assert!(json.contains("\"runs\": 3"));
         assert!(json.contains("\"extract_ms\": 1.5"));
-        assert!(json.contains("\"matches_reference\": true"));
+        assert!(json.contains("\"deterministic\": true"));
+        assert!(!json.contains("before_wall_ms"));
         // Balanced braces/brackets — a cheap structural check without a
         // JSON parser in the dependency set.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn baseline_times_round_trip_through_the_json() {
+        let earlier = render_json(&[demo_row(None)]);
+        assert_eq!(baseline_times(&earlier, "demo"), Some((12.5, 10.0)));
+        assert_eq!(baseline_times(&earlier, "other"), None);
+        let json = render_json(&[demo_row(baseline_times(&earlier, "demo"))]);
+        assert!(json.contains("\"before_wall_ms\": 12.5, \"before_reach_ms\": 10.0"));
+        // A file that itself carries before_* columns still yields the
+        // row's own times.
+        assert_eq!(baseline_times(&json, "demo"), Some((12.5, 10.0)));
     }
 }

@@ -17,14 +17,14 @@
 //!   attribute is dropped in a refactor, without waiting for a reviewer to
 //!   notice.
 //! * `bench` — symbolic-engine scaling harness: runs the SG flow's BDD
-//!   engine over the large `benchmarks/*.g` specifications at
-//!   `bdd_threads` ∈ {1, 2, 4}, cross-checks that gate equations and
-//!   kernel operation counts are identical at every thread count, and
-//!   prints one row per run (wall ms, peak live nodes, op counts). With
-//!   `--json` the same rows are written to `BENCH_symbolic.json` at the
-//!   workspace root. Wall-clock speedup is only visible on multi-core
-//!   hosts; the op counts and peak live nodes are machine-independent, so
-//!   they are what CI pins on single-CPU runners.
+//!   engine over the large `benchmarks/*.g` specifications, three times
+//!   each, checks that every repetition reproduces the gate
+//!   equations, state count and kernel operation counts, and prints one
+//!   row per specification (min-of-N wall ms, peak live nodes, op counts).
+//!   With `--json` the rows are written to `BENCH_symbolic.json` at the
+//!   workspace root; `--baseline FILE` adds an earlier commit's times as
+//!   the before columns. The op counts are machine-independent, so they
+//!   are what CI pins.
 //!
 //! The scanner is intentionally textual (no syn/proc-macro dependencies in
 //! the offline build): it walks `crates/<crate>/src/**/*.rs`, drops `//`
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
         }
         None => {
             eprintln!(
-                "usage: cargo run -p xtask -- <task>\n\ntasks:\n  forbid-panics\n  forbid-unsafe\n  bench [--json] [--threads 1,2,4] [name …]"
+                "usage: cargo run -p xtask -- <task>\n\ntasks:\n  forbid-panics\n  forbid-unsafe\n  bench [--json] [--baseline FILE] [name …]"
             );
             ExitCode::from(2)
         }
