@@ -7,9 +7,9 @@
 //! sharing: implicit → BDD enumerates the canonical disjoint-cube cover and
 //! rebuilds it as a disjunction of cubes; BDD → implicit walks the diagram
 //! once with a per-node memo, recombining children through the implicit
-//! pool's cached set algebra. A bulk minterm build
-//! ([`BddManager::from_minterms`]) mirrors
-//! `ImplicitPool::from_minterms` for loading explicit state sets.
+//! pool's cached set algebra. The symbolic engine extracts its covers with
+//! ISOP ([`BddManager::isop_implicit`]); [`BddManager::to_implicit`] is the
+//! reference translation the equivalence tests check it against.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -42,20 +42,6 @@ impl fmt::Display for ConvertError {
 }
 
 impl std::error::Error for ConvertError {}
-
-/// A reusable BDD-node → implicit-set memo for batch conversions of related
-/// functions into *one* pool under *one* variable map — the per-call memo
-/// [`BddManager::to_implicit`] builds internally, lifted out so shared
-/// subgraphs translate once per batch instead of once per function.
-///
-/// Entries are keyed on node ids, which survive reordering (sifting rewrites
-/// nodes in place) but **not** garbage collection: drop the cache before (or
-/// after) any [`gc`](BddManager::gc) between conversions, and never reuse it
-/// with a different pool or variable map.
-#[derive(Default)]
-pub struct TranslationCache {
-    memo: HashMap<u32, ImplicitCover>,
-}
 
 impl BddManager {
     /// Builds the BDD of an implicit point set by enumerating its canonical
@@ -111,37 +97,12 @@ impl BddManager {
         pool: &mut ImplicitPool,
         var_map: &[Option<usize>],
     ) -> Result<ImplicitCover, ConvertError> {
-        let mut cache = TranslationCache::default();
-        self.to_implicit_cached(f, pool, var_map, &mut cache)
-    }
-
-    /// [`to_implicit`](Self::to_implicit) with a caller-held memo, so a
-    /// batch of functions sharing diagram structure (e.g. one on/off pair
-    /// per signal over the same reachable set) translates each shared
-    /// subgraph once. See [`TranslationCache`] for the validity rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvertError::UnmappedVariable`] if `f` depends on a
-    /// variable mapped to `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var_map.len() != num_vars` or a mapped index is
-    /// `>= pool.width()`.
-    pub fn to_implicit_cached(
-        &self,
-        f: Bdd,
-        pool: &mut ImplicitPool,
-        var_map: &[Option<usize>],
-        cache: &mut TranslationCache,
-    ) -> Result<ImplicitCover, ConvertError> {
         assert_eq!(
             var_map.len(),
             self.num_vars(),
             "variable map width mismatch"
         );
-        self.to_implicit_rec(f.0, pool, var_map, &mut cache.memo)
+        self.to_implicit_rec(f.0, pool, var_map, &mut HashMap::new())
     }
 
     fn to_implicit_rec(
@@ -176,71 +137,6 @@ impl BddManager {
         let r = pool.union(left, right);
         memo.insert(n, r);
         Ok(r)
-    }
-
-    /// Bulk-builds the BDD of a batch of complete minterms, merging shared
-    /// structure as it recurses (the rows are reordered in place; duplicate
-    /// rows collapse). Row `i` gives the value of logical variable `i`;
-    /// `var_map[i]` names the manager variable carrying it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows disagree with `var_map.len()` in width, or a mapped
-    /// variable is out of range or repeated.
-    pub fn from_minterms(&mut self, rows: &mut [Vec<bool>], var_map: &[usize]) -> Bdd {
-        // Logical variables sorted topmost-level first, so the recursion
-        // emits nodes in diagram order.
-        let mut by_level: Vec<(u32, usize)> = var_map
-            .iter()
-            .enumerate()
-            .map(|(logical, &var)| {
-                assert!(var < self.num_vars(), "variable {var} out of range");
-                (self.level_of(var) as u32, logical)
-            })
-            .collect();
-        by_level.sort_unstable();
-        for w in by_level.windows(2) {
-            assert!(w[0].0 != w[1].0, "variable map repeats a manager variable");
-        }
-        for row in rows.iter() {
-            assert_eq!(row.len(), var_map.len(), "minterm width mismatch");
-        }
-        Bdd(self.build_sorted(rows, &by_level, 0))
-    }
-
-    fn build_sorted(
-        &mut self,
-        rows: &mut [Vec<bool>],
-        by_level: &[(u32, usize)],
-        depth: usize,
-    ) -> u32 {
-        if rows.is_empty() {
-            return self.zero().0;
-        }
-        let Some(&(level, logical)) = by_level.get(depth) else {
-            return self.one().0;
-        };
-        // In-place partition: rows with bit 0 first.
-        let mut lo_end = 0usize;
-        for i in 0..rows.len() {
-            if !rows[i][logical] {
-                rows.swap(lo_end, i);
-                lo_end += 1;
-            }
-        }
-        let (lo_rows, hi_rows) = rows.split_at_mut(lo_end);
-        let lo = self.build_sorted(lo_rows, by_level, depth + 1);
-        let hi = self.build_sorted(hi_rows, by_level, depth + 1);
-        self.mk_pub(level, lo, hi)
-    }
-
-    /// Thin crate-internal bridge so the builder above can hash-cons.
-    fn mk_pub(&mut self, level: u32, lo: u32, hi: u32) -> u32 {
-        // `cube`-style construction through ITE keeps this allocation-free:
-        // ite(var_at_level, hi, lo) builds exactly mk(level, lo, hi).
-        let var = self.var_at(level as usize);
-        let v = self.var(var);
-        self.ite(v, Bdd(hi), Bdd(lo)).0
     }
 }
 
@@ -305,26 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn from_minterms_matches_per_point_or() {
-        let points = [0b0000u32, 0b1010, 0b0110, 0b1111, 0b1010];
-        let mut rows: Vec<Vec<bool>> = points
-            .iter()
-            .map(|&p| (0..4).map(|i| (p >> i) & 1 == 1).collect())
-            .collect();
-        let mut mgr = BddManager::with_order(vec![2, 0, 3, 1]);
-        let map: Vec<usize> = (0..4).collect();
-        let bulk = mgr.from_minterms(&mut rows, &map);
-        let mut one_by_one = mgr.zero();
-        for &p in &points {
-            let lits: Vec<(usize, bool)> = (0..4).map(|i| (i, (p >> i) & 1 == 1)).collect();
-            let c = mgr.cube(&lits);
-            one_by_one = mgr.or(one_by_one, c);
-        }
-        assert_eq!(bulk, one_by_one);
-        assert_eq!(mgr.sat_count(bulk), 4, "duplicate rows collapse");
-    }
-
-    #[test]
     fn empty_and_full_sets_convert() {
         let mut pool = ImplicitPool::new(2);
         let mut mgr = BddManager::new(2);
@@ -345,8 +221,6 @@ mod tests {
                 .expect("constants have empty support"),
             pool.full()
         );
-        let mut no_rows: Vec<Vec<bool>> = Vec::new();
-        assert!(mgr.from_minterms(&mut no_rows, &map).is_false());
     }
 
     #[test]
@@ -383,7 +257,7 @@ mod tests {
 
     #[test]
     fn conversions_are_reorder_safe() {
-        // `to_implicit`/`from_implicit`/`from_minterms` must query the
+        // `to_implicit`/`from_implicit` must query the
         // *current* layout: after sifting, the same point set comes back.
         let mut pool = ImplicitPool::new(4);
         let c = cover(&["1--0", "01--", "--11"]);
@@ -401,11 +275,6 @@ mod tests {
             set
         );
         assert_eq!(mgr.from_implicit(&pool, set, &map), f);
-        let mut rows: Vec<Vec<bool>> = (0..16u32)
-            .filter(|&x| c.covers_bits(&(0..4).map(|i| (x >> i) & 1 == 1).collect::<Vec<_>>()))
-            .map(|x| (0..4).map(|i| (x >> i) & 1 == 1).collect())
-            .collect();
-        assert_eq!(mgr.from_minterms(&mut rows, &map), f);
         mgr.unprotect(f);
     }
 }

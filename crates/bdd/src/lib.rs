@@ -67,7 +67,7 @@ mod manager;
 mod order;
 mod sift;
 
-pub use convert::{ConvertError, TranslationCache};
-pub use manager::{Bdd, BddManager, OpCounts, ReentrantConfig};
+pub use convert::ConvertError;
+pub use manager::{Bdd, BddManager, OpCounts, ReentrantConfig, SiftRecord};
 pub use order::order_from_adjacency;
 pub use sift::{AutoReorder, ReorderPolicy};

@@ -8,6 +8,7 @@
 //! limit mid-operation.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use crate::core::{Core, OpResult, ONE, ZERO};
 use crate::isop::IsopTables;
@@ -72,6 +73,19 @@ pub struct OpCounts {
     pub and_exists: u64,
 }
 
+/// One completed [`BddManager::reorder_sift`] run, whoever triggered it: a
+/// caller, a driver's between-iteration checkpoint or the reentrant
+/// mid-operation maintenance pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiftRecord {
+    /// Live nodes when the sift started (after its collection).
+    pub live_before: usize,
+    /// Live nodes when it finished.
+    pub live_after: usize,
+    /// Wall-clock time, collection included.
+    pub time: Duration,
+}
+
 /// A reduced ordered BDD node pool over a fixed variable count, with
 /// per-level unique subtables (hash-consing), a lossy computed table, an
 /// external-root protection set and a mark-and-sweep collector.
@@ -101,6 +115,7 @@ pub struct BddManager {
     maint: Option<ReentrantConfig>,
     op_counts: OpCounts,
     maintenance_runs: usize,
+    pub(crate) sift_log: Vec<SiftRecord>,
 }
 
 impl std::fmt::Debug for BddManager {
@@ -143,6 +158,7 @@ impl BddManager {
             maint: None,
             op_counts: OpCounts::default(),
             maintenance_runs: 0,
+            sift_log: Vec::new(),
         }
     }
 
@@ -217,6 +233,11 @@ impl BddManager {
     /// kernel hit the live-node limit) run so far.
     pub fn maintenance_runs(&self) -> usize {
         self.maintenance_runs
+    }
+
+    /// Every sift this manager has run, in order.
+    pub fn sift_log(&self) -> &[SiftRecord] {
+        &self.sift_log
     }
 
     /// Deterministic per-manager operation counters (see [`OpCounts`]).

@@ -25,7 +25,9 @@
 //!
 //! [`Bdd`]: crate::Bdd
 
-use crate::manager::BddManager;
+use std::time::Instant;
+
+use crate::manager::{BddManager, SiftRecord};
 
 /// When to run garbage collection + sifting during a symbolic fixpoint.
 ///
@@ -150,7 +152,8 @@ impl BddManager {
     /// pool was smallest; a direction is abandoned early once the pool
     /// exceeds `max_growth` times its size at that variable's start
     /// ([`DEFAULT_MAX_GROWTH`](Self::DEFAULT_MAX_GROWTH) is the usual cap).
-    /// Returns `(live_before, live_after)`.
+    /// Returns `(live_before, live_after)`; every run is also appended to
+    /// [`sift_log`](Self::sift_log).
     ///
     /// Runs [`gc`](Self::gc) first; unprotected handles are collected.
     /// Handles that survive keep their ids and functions — only the
@@ -160,6 +163,18 @@ impl BddManager {
     ///
     /// Panics if `max_growth < 1.0`.
     pub fn reorder_sift(&mut self, max_growth: f64) -> (usize, usize) {
+        let start = Instant::now();
+        let (live_before, live_after) = self.sift_all(max_growth);
+        self.sift_log.push(SiftRecord {
+            live_before,
+            live_after,
+            time: start.elapsed(),
+        });
+        (live_before, live_after)
+    }
+
+    /// The body of [`reorder_sift`](Self::reorder_sift), which logs it.
+    fn sift_all(&mut self, max_growth: f64) -> (usize, usize) {
         assert!(
             max_growth >= 1.0,
             "growth cap below 1.0 forbids standing still"

@@ -7,12 +7,11 @@
 //! literal counts and time for all three on every suite benchmark's exact
 //! on/off-sets.
 //!
-//! The cover-extraction front end (BDD-native ISOP vs disjoint-cube
-//! translation, `--extract` on `synth`) is out of scope here and changes
-//! nothing below: both front ends collapse to the same canonical point
-//! sets before any minimiser runs, so the literal columns — and in
-//! particular the `>budget` verdicts in the QM column, which are charged
-//! against those point sets — are identical under either.
+//! How the symbolic engine extracts its covers (BDD-native ISOP) is out of
+//! scope here and changes nothing below: extraction lands on the same
+//! canonical point sets before any minimiser runs, so the literal columns
+//! — and in particular the `>budget` verdicts in the QM column, which are
+//! charged against those point sets — are the same for either engine.
 //!
 //! Run with: `cargo run -p si-bench --release --bin ablation_minimizers`
 

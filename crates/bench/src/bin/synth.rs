@@ -23,19 +23,6 @@
 //!   --cover exact|approx   cover derivation / minimisation mode
 //!                          (default: approx; for --flow sg, `exact`
 //!                          selects exact Quine–McCluskey minimisation)
-//!   --covers implicit|explicit
-//!                          point-set representation inside the flows:
-//!                          implicit shared-subgraph diagrams (default) or
-//!                          the historical explicit cube lists — gate
-//!                          equations are byte-identical either way
-//!   --extract isop|translate
-//!                          (symbolic engine) front end deriving each
-//!                          signal's on/off sets from the reachable BDD:
-//!                          native Minato–Morreale ISOP extraction
-//!                          (default) or the historical node-by-node
-//!                          translation — gate equations are
-//!                          byte-identical either way; the split is
-//!                          reported as the ExtTim timing row
 //!   --workers N            worker threads (default: one per CPU)
 //!   --budget N             traversal budget: max states (explicit sg),
 //!                          max live BDD nodes (symbolic sg) or slice
@@ -74,8 +61,8 @@ use std::time::Instant;
 
 use si_bench::secs;
 use si_stategraph::{
-    check_implementable, synthesize_from_built_sg, synthesize_from_on_off_sets, CoverExtraction,
-    OrderSeed, ReorderPolicy, SgEngine, SgSynthesis, SgSynthesisOptions, StateGraph, SymbolicSg,
+    check_implementable, synthesize_from_built_sg, synthesize_from_on_off_sets, OrderSeed,
+    ReorderPolicy, SgEngine, SgSynthesis, SgSynthesisOptions, StateGraph, SymbolicSg,
 };
 use si_stg::analysis::lint_text;
 use si_stg::{parse_g, Stg};
@@ -109,8 +96,6 @@ struct Args {
     flow: Flow,
     engine: EngineArg,
     exact: bool,
-    implicit_covers: bool,
-    extract: CoverExtraction,
     workers: Option<usize>,
     budget: Option<usize>,
     reorder: ReorderPolicy,
@@ -121,8 +106,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "Usage: synth <spec.g> [--flow sg|unfolding|auto] [--engine explicit|symbolic|auto] \
-     [--cover exact|approx] [--covers implicit|explicit] [--extract isop|translate] \
-     [--workers N] [--budget N] [--reorder off|sift|auto] \
+     [--cover exact|approx] [--workers N] [--budget N] [--reorder off|sift|auto] \
      [--order-seed adjacency|invariants] [--invert] [--lint | --lint-json]"
 }
 
@@ -132,8 +116,6 @@ fn parse_args() -> Result<Args, String> {
     let mut flow = Flow::Unfolding;
     let mut engine = None;
     let mut exact = false;
-    let mut implicit_covers = true;
-    let mut extract = CoverExtraction::default();
     let mut workers = None;
     let mut budget = None;
     let mut reorder = ReorderPolicy::Auto;
@@ -168,22 +150,6 @@ fn parse_args() -> Result<Args, String> {
                     Some("approx") => false,
                     other => return Err(format!("--cover needs exact|approx, got {other:?}")),
                 }
-            }
-            "--covers" => {
-                implicit_covers = match args.next().as_deref() {
-                    Some("implicit") => true,
-                    Some("explicit") => false,
-                    other => {
-                        return Err(format!("--covers needs implicit|explicit, got {other:?}"))
-                    }
-                }
-            }
-            "--extract" => {
-                extract = args
-                    .next()
-                    .as_deref()
-                    .and_then(CoverExtraction::parse)
-                    .ok_or("--extract needs isop|translate")?;
             }
             "--workers" => {
                 let n = args
@@ -240,8 +206,6 @@ fn parse_args() -> Result<Args, String> {
         flow,
         engine: engine.unwrap_or(EngineArg::Explicit),
         exact,
-        implicit_covers,
-        extract,
         workers,
         budget,
         reorder,
@@ -389,8 +353,6 @@ fn run_sg(
         exact_minimization: args.exact,
         allow_inversion: args.invert,
         workers: args.workers,
-        implicit_covers: args.implicit_covers,
-        extraction: args.extract,
         ..defaults
     };
     // Phase 1 ("reach"): state-space traversal — explicit enumeration or
@@ -496,12 +458,8 @@ fn run_sg(
     }
     if let Some(ext) = extraction_time {
         // Slice of the synth row (already included there): the cover
-        // extraction front end's share of the non-reach time.
-        let front = match options.extraction {
-            CoverExtraction::Isop => "isop",
-            CoverExtraction::Translate => "translate",
-        };
-        println!("{:>10} {:>10}   ({front} front end)", "ExtTim", secs(ext));
+        // ISOP extraction's share of the non-reach time.
+        println!("{:>10} {:>10}   (isop front end)", "ExtTim", secs(ext));
     }
     println!("{:>10} {:>10}", "synth", secs(syn_time));
     println!(
@@ -534,7 +492,6 @@ fn run_unfolding(
             .budget
             .unwrap_or(SynthesisOptions::default().slice_budget),
         workers: args.workers,
-        implicit_covers: args.implicit_covers,
         ..SynthesisOptions::default()
     };
     let result = match synthesize_from_unfolding(stg, &options) {

@@ -147,11 +147,13 @@ pub struct SymbolicStats {
     pub gc_runs: usize,
     /// Total nodes reclaimed by those passes.
     pub gc_collected: usize,
-    /// Sifting passes run (auto-triggered or budget-pressure).
+    /// Sifting passes run: auto-triggered or under budget pressure, at
+    /// the between-iteration checkpoints or mid-operation.
     pub reorder_runs: usize,
     /// Wall-clock time spent collecting.
     pub gc_time: Duration,
-    /// Wall-clock time spent sifting.
+    /// Wall-clock time spent sifting (every pass counted by
+    /// [`reorder_runs`](Self::reorder_runs)).
     pub reorder_time: Duration,
     /// Largest live pool measured right after a between-iteration
     /// collection — the only checkpoints where the live size is exact
@@ -161,7 +163,8 @@ pub struct SymbolicStats {
     /// checkpoints — the smallest [`SymbolicOptions::node_budget`] the run
     /// fits in.
     pub peak_live_nodes: usize,
-    /// Live pool `(before, after)` of each sift, in order.
+    /// Live pool `(before, after)` of each sift counted by
+    /// [`reorder_runs`](Self::reorder_runs), in order.
     pub sifts: Vec<(usize, usize)>,
     /// Deterministic operation counters: public `ite`/`exists`/`and_exists`
     /// calls issued by the run. Identical under any GC/reorder schedule —
@@ -363,6 +366,15 @@ impl SymbolicReach {
             }
         }
 
+        // The manager logs every sift: the checkpoint sifts above and the
+        // ones reentrant maintenance ran inside an operation.
+        let sifts = mgr.sift_log();
+        stats.reorder_runs = sifts.len();
+        stats.reorder_time = sifts.iter().map(|s| s.time).sum();
+        stats.sifts = sifts
+            .iter()
+            .map(|s| (s.live_before, s.live_after))
+            .collect();
         stats.ops = mgr.op_counts();
         stats.reentrant_maintenance = mgr.maintenance_runs();
         stats.peak_pool = mgr.peak_pool();
@@ -429,12 +441,7 @@ impl SymbolicReach {
                 ReorderPolicy::Auto => auto.due(live) || live > options.node_budget,
             };
         if want_sift {
-            let t = Instant::now();
-            stats
-                .sifts
-                .push(mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH));
-            stats.reorder_time += t.elapsed();
-            stats.reorder_runs += 1;
+            mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH);
             auto.rearm(mgr.pool_size());
         }
         for r in roots {
@@ -986,6 +993,41 @@ mod tests {
             r.stats().ops,
             "reentrant retries must not change the public op counts"
         );
+    }
+
+    #[test]
+    fn mid_operation_sifts_are_counted() {
+        // The reentrant setting of the test above, with sifting allowed:
+        // under a budget equal to the checkpoint live peak, the run's only
+        // sift happens inside an operation (14 058 → 425 live nodes). It
+        // must show up in the stats like a checkpoint sift.
+        let net = independent_cycles(12);
+        let n = net.place_count();
+        let bad: Vec<usize> = (0..n).step_by(2).chain((1..n).step_by(2).rev()).collect();
+        let reference = SymbolicOptions {
+            order: Some(bad.clone()),
+            gc_threshold: 0,
+            reentrant: false,
+            ..SymbolicOptions::default()
+        };
+        let r = SymbolicReach::explore(&net, &reference).expect("explores");
+        let sifting = SymbolicOptions {
+            order: Some(bad),
+            gc_threshold: 0,
+            node_budget: r.stats().peak_live_nodes,
+            reorder: ReorderPolicy::Sift,
+            reentrant: true,
+            ..SymbolicOptions::default()
+        };
+        let reach = SymbolicReach::explore(&net, &sifting).expect("explores");
+        let stats = reach.stats();
+        assert_eq!(reach.state_count(), r.state_count());
+        assert!(stats.reentrant_maintenance > 0);
+        assert!(
+            stats.reorder_runs > 0,
+            "the mid-operation sifts must be counted"
+        );
+        assert_eq!(stats.reorder_runs, stats.sifts.len());
     }
 
     #[test]

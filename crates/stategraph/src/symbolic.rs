@@ -6,11 +6,14 @@
 //! [`si_petri::SymbolicReach`] over per-transition partitioned relations,
 //! checks the consistent-state-assignment criterion symbolically, and
 //! projects the reachable `(marking, code)` relation into each signal's
-//! on/off code sets. The sets come back as
-//! [`ImplicitOnOffSets`] — the exact representation the implicit-cover
-//! minimiser already consumes — so gate equations are **byte-identical** to
-//! the explicit engine's (pinned by the equivalence suites) while the cost
-//! tracks diagram sizes instead of the state count.
+//! on/off code sets. [`SymbolicSg::extract_on_off_sets`] reads the sets out
+//! by native ISOP extraction as [`ImplicitOnOffSets`] — the exact
+//! representation the implicit-cover minimiser already consumes — so gate
+//! equations are **byte-identical** to the explicit engine's (pinned by the
+//! equivalence suites) while the cost tracks diagram sizes instead of the
+//! state count. [`SymbolicSg::on_off_sets`] keeps the node-by-node
+//! translation as the reference those suites compare the extraction
+//! against.
 //!
 //! The variable order is seeded from structure
 //! ([`si_bdd::order_from_adjacency`]), selected by [`OrderSeed`]: either
@@ -30,7 +33,7 @@
 //!
 //! [`StateGraph`]: crate::StateGraph
 
-use si_bdd::{order_from_adjacency, Bdd, ConvertError, ReorderPolicy, TranslationCache};
+use si_bdd::{order_from_adjacency, Bdd, ConvertError, ReorderPolicy};
 use si_cubes::implicit::{ImplicitCover, ImplicitPool};
 use si_petri::structural::{certify_one_safe, SafetyCertificate};
 use si_petri::{AuxAction, SymbolicOptions, SymbolicReach};
@@ -92,32 +95,19 @@ pub enum OrderSeed {
 }
 
 /// The front end deriving each signal's implicit on/off code sets from the
-/// reachable BDD. Both front ends hand the minimiser the same canonical
-/// point sets, so gate equations are **byte-identical** either way (pinned
-/// by the equivalence suites); only the extraction cost differs.
+/// reachable BDD. Minato–Morreale ISOP extraction is the only one; the enum
+/// stays so that callers passing [`SgSynthesisOptions::extraction`] keep
+/// compiling. [`SymbolicSg::on_off_sets`] (node-by-node translation) is the
+/// reference the equivalence tests compare ISOP against.
+///
+/// [`SgSynthesisOptions::extraction`]: crate::SgSynthesisOptions::extraction
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoverExtraction {
     /// Minato–Morreale ISOP recursion natively on the code BDDs
     /// ([`si_bdd::BddManager::isop_implicit`]): one memoised three-way
-    /// cofactor walk per set, no disjoint-cube enumeration. The default.
+    /// cofactor walk per set, no disjoint-cube enumeration.
     #[default]
     Isop,
-    /// The historical translation path
-    /// ([`si_bdd::BddManager::to_implicit`]): rebuild each code BDD's
-    /// point set node by node through the implicit pool's set algebra.
-    /// Kept as the cross-check ablation.
-    Translate,
-}
-
-impl CoverExtraction {
-    /// Parses a CLI name: `isop` or `translate`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "isop" => Some(CoverExtraction::Isop),
-            "translate" => Some(CoverExtraction::Translate),
-            _ => None,
-        }
-    }
 }
 
 impl Default for SymbolicTuning {
@@ -380,13 +370,12 @@ impl SymbolicSg {
         ImplicitOnOffSets::from_parts(signal, pool, on, off)
     }
 
-    /// The on/off code sets of every signal in `signals`, extracted with
-    /// the selected front end into **one** shared pool (shared code
-    /// subgraphs convert once across the whole batch, not once per
-    /// signal) and then carved into per-signal pools ready for parallel
-    /// minimisation. Both front ends produce the same point sets, so
-    /// everything downstream is byte-identical (pinned by the
-    /// equivalence suites).
+    /// The on/off code sets of every signal in `signals`, extracted by
+    /// ISOP into **one** shared pool (shared code subgraphs convert once
+    /// across the whole batch, not once per signal) and then carved into
+    /// per-signal pools ready for parallel minimisation. The point sets
+    /// equal [`on_off_sets`](Self::on_off_sets)' (pinned by the
+    /// equivalence tests).
     ///
     /// Takes `&mut self` because ISOP extraction writes the BDD
     /// manager's memo tables; the reachable relation itself is not
@@ -400,38 +389,15 @@ impl SymbolicSg {
         signals: &[SignalId],
         extraction: CoverExtraction,
     ) -> Vec<ImplicitOnOffSets> {
+        let CoverExtraction::Isop = extraction;
         let mut shared = ImplicitPool::new(self.width);
-        let mut cache = TranslationCache::default();
         let mut sets = Vec::with_capacity(signals.len());
+        let mgr = self.reach.manager_mut();
         for &signal in signals {
             let on_bdd = self.on_codes[signal.index()];
             let off_bdd = self.off_codes[signal.index()];
-            let (on, off) = match extraction {
-                CoverExtraction::Isop => {
-                    let mgr = self.reach.manager_mut();
-                    (
-                        expect_code_set(mgr.isop_implicit(on_bdd, &mut shared, &self.code_map)),
-                        expect_code_set(mgr.isop_implicit(off_bdd, &mut shared, &self.code_map)),
-                    )
-                }
-                CoverExtraction::Translate => {
-                    let mgr = self.reach.manager();
-                    (
-                        expect_code_set(mgr.to_implicit_cached(
-                            on_bdd,
-                            &mut shared,
-                            &self.code_map,
-                            &mut cache,
-                        )),
-                        expect_code_set(mgr.to_implicit_cached(
-                            off_bdd,
-                            &mut shared,
-                            &self.code_map,
-                            &mut cache,
-                        )),
-                    )
-                }
-            };
+            let on = expect_code_set(mgr.isop_implicit(on_bdd, &mut shared, &self.code_map));
+            let off = expect_code_set(mgr.isop_implicit(off_bdd, &mut shared, &self.code_map));
             // Carve the pair out of the shared pool: minimisation
             // mutates its pool, and the per-signal workers run in
             // parallel, so each signal gets a minimal pool of its own.

@@ -2,22 +2,19 @@
 //! that the paper compares against.
 //!
 //! For every implementable signal the on-set and off-set of reachable states
-//! are derived from the explicit state graph and minimised with the
-//! Espresso-style optimiser. The state graph itself is still explicit (that
-//! is the point of the paper's unfolding-based alternative), but the on/off
-//! sets default to the *implicit* cover representation
-//! ([`ImplicitOnOffSets`]): states are accumulated into canonical
-//! disjoint-cube sets during one classification sweep, states identical on
-//! a signal's support collapse into shared diagram structure, and the
-//! minimiser phases run against the implicit sets — with gate equations
-//! byte-identical to the historical explicit-minterm path
-//! ([`SgSynthesisOptions::implicit_covers`] = `false`).
+//! are derived from the state graph and minimised with the Espresso-style
+//! optimiser. The explicit state graph is still enumerated state by state
+//! (that is the point of the paper's unfolding-based alternative), but the
+//! on/off sets are *implicit* covers ([`ImplicitOnOffSets`]): states are
+//! accumulated into canonical disjoint-cube sets during one classification
+//! sweep, states identical on a signal's support collapse into shared
+//! diagram structure, and the minimiser phases run against the implicit
+//! sets. [`on_off_sets`] keeps the explicit minterm derivation as the
+//! reference the byte-identity tests compare against.
 
 use si_cubes::implicit::{ImplicitCover, ImplicitPool, MintermList};
 use si_cubes::par::par_map;
-use si_cubes::{
-    minimize, minimize_exact, minimize_exact_implicit, minimize_implicit, Cover, Cube, QmBudget,
-};
+use si_cubes::{minimize_exact_implicit, minimize_implicit, Cover, Cube, QmBudget};
 use si_stg::{Polarity, SignalId, SignalTransition, Stg};
 
 use si_bdd::ReorderPolicy;
@@ -393,25 +390,14 @@ pub struct SgSynthesisOptions {
     /// minimisation; `None` uses one per available CPU. Output is
     /// bit-identical to sequential (`Some(1)`) regardless of the count.
     pub workers: Option<usize>,
-    /// Represent each signal's on/off-sets implicitly (canonical
-    /// disjoint-cube sets) instead of one materialised minterm per state,
-    /// and run the minimiser phases against the implicit sets. Gate
-    /// equations are byte-identical either way (pinned by the equivalence
-    /// tests); the implicit path just stops paying the full state count per
-    /// signal. `false` keeps the historical explicit-minterm path for
-    /// cross-checks and ablations.
-    pub implicit_covers: bool,
     /// Structural heuristic seeding the symbolic engine's static variable
     /// order (ignored by the explicit engine). Gate equations are
     /// byte-identical under every seed (pinned by the equivalence tests);
     /// only diagram sizes differ.
     pub symbolic_order_seed: OrderSeed,
     /// Front end deriving each signal's on/off sets from the symbolic
-    /// engine's reachable BDD (ignored by the explicit engine): native
-    /// Minato–Morreale ISOP extraction (the default) or the historical
-    /// node-by-node translation, kept as the cross-check ablation. Gate
-    /// equations are byte-identical either way (pinned by the
-    /// equivalence tests).
+    /// engine's reachable BDD (ignored by the explicit engine). ISOP
+    /// extraction is the only one; see [`CoverExtraction`].
     pub extraction: CoverExtraction,
 }
 
@@ -427,7 +413,6 @@ impl Default for SgSynthesisOptions {
             allow_inversion: false,
             exact_minimization: false,
             workers: None,
-            implicit_covers: true,
             symbolic_order_seed: tuning.order_seed,
             extraction: CoverExtraction::default(),
         }
@@ -532,67 +517,10 @@ pub fn synthesize_from_built_sg(
     options: &SgSynthesisOptions,
 ) -> Result<SgSynthesis, SgError> {
     let signals = check_implementable(stg)?;
-    if options.implicit_covers {
-        return synthesize_implicit(stg, sg, &signals, options);
-    }
-    // One worker task per signal: derive the exact on/off-sets, check the
-    // partition (the release-build guard against minimising overlapping
-    // covers), minimise. Results come back in signal order, so both the
-    // gate list and the first-error semantics match the sequential loop.
-    let results = par_map(&signals, options.workers, |_, &signal| {
-        let sets = on_off_sets(stg, sg, signal);
-        if sets.on.intersects(&sets.off) {
-            let witness = sets
-                .on
-                .intersect(&sets.off)
-                .cubes()
-                .first()
-                .map(ToString::to_string)
-                .unwrap_or_default();
-            return Err(SgError::CscViolation {
-                signal: stg.signal_name(signal).to_owned(),
-                code: witness,
-            });
-        }
-        let run_minimize = |on: &Cover, off: &Cover| {
-            if options.exact_minimization {
-                minimize_exact(on, off, &QmBudget::default()).unwrap_or_else(|| minimize(on, off))
-            } else {
-                minimize(on, off)
-            }
-        };
-        let on_impl = run_minimize(&sets.on, &sets.off);
-        let (cover, inverted) = if options.allow_inversion {
-            let off_impl = run_minimize(&sets.off, &sets.on);
-            if off_impl.literal_count() < on_impl.literal_count() {
-                (off_impl, true)
-            } else {
-                (on_impl, false)
-            }
-        } else {
-            (on_impl, false)
-        };
-        Ok(GateImplementation {
-            signal,
-            cover,
-            inverted,
-        })
-    });
-    let gates = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(SgSynthesis { gates })
-}
-
-/// The implicit-cover synthesis path: one shared classification sweep over
-/// the SG, then per-signal implicit set construction, CSC check, and
-/// minimisation — gate-equation-identical to the explicit path, but the
-/// per-signal cost tracks the implicit representation size instead of the
-/// state count.
-fn synthesize_implicit(
-    stg: &Stg,
-    sg: &StateGraph,
-    signals: &[SignalId],
-    options: &SgSynthesisOptions,
-) -> Result<SgSynthesis, SgError> {
+    // One shared classification sweep over the SG, then per-signal
+    // implicit set construction, CSC check and minimisation: the
+    // per-signal cost tracks the implicit representation size instead of
+    // the state count.
     let class = SgClassification::build(stg, sg);
     // One shared pool for every signal's set construction: states shared
     // between signals collapse into diagram structure once instead of
@@ -625,8 +553,7 @@ fn synthesize_implicit(
 /// [`SymbolicSg`] — the engine-split counterpart of
 /// [`synthesize_from_built_sg`], exposing the intermediate reachability
 /// result so callers (the `synth` CLI, the benches) can time the phases
-/// separately. Gate equations are byte-identical to the explicit engine's
-/// under either [`CoverExtraction`] front end.
+/// separately. Gate equations are byte-identical to the explicit engine's.
 ///
 /// Takes `&mut SymbolicSg` because ISOP extraction writes the BDD
 /// manager's memo tables; the reachable relation itself is not touched.
@@ -714,6 +641,7 @@ fn implement_implicit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use si_cubes::minimize;
     use si_stg::generators::{muller_pipeline, sequencer};
     use si_stg::suite::{paper_fig1, vme_read_csc, vme_read_no_csc};
 
@@ -809,79 +737,20 @@ mod tests {
     }
 
     #[test]
-    fn implicit_and_explicit_paths_agree_byte_for_byte() {
-        for stg in [
-            paper_fig1(),
-            vme_read_csc(),
-            muller_pipeline(5),
-            sequencer(6),
-        ] {
-            for exact_minimization in [false, true] {
-                for allow_inversion in [false, true] {
-                    let implicit = synthesize_from_sg(
-                        &stg,
-                        &SgSynthesisOptions {
-                            exact_minimization,
-                            allow_inversion,
-                            ..Default::default()
-                        },
-                    )
-                    .expect("implicit ok");
-                    let explicit = synthesize_from_sg(
-                        &stg,
-                        &SgSynthesisOptions {
-                            exact_minimization,
-                            allow_inversion,
-                            implicit_covers: false,
-                            ..Default::default()
-                        },
-                    )
-                    .expect("explicit ok");
-                    for (a, b) in implicit.gates.iter().zip(&explicit.gates) {
-                        assert_eq!(
-                            a.equation(&stg),
-                            b.equation(&stg),
-                            "{} (exact={exact_minimization}, invert={allow_inversion})",
-                            stg.name()
-                        );
-                        assert_eq!(a.inverted, b.inverted);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn csc_violation_witness_identical_across_paths() {
-        let stg = vme_read_no_csc();
-        let implicit = synthesize_from_sg(&stg, &SgSynthesisOptions::default()).unwrap_err();
-        let explicit = synthesize_from_sg(
-            &stg,
-            &SgSynthesisOptions {
-                implicit_covers: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(implicit, explicit, "witness code or signal differs");
-    }
-
-    #[test]
     fn budget_exhaustion_is_an_error_in_both_paths() {
         // Exceeding the state budget mid-traversal must surface as an
         // `SgError`, never a partial state graph silently synthesised into
         // a wrong gate.
         let stg = muller_pipeline(8);
-        for implicit_covers in [true, false] {
-            let err = synthesize_from_sg(
-                &stg,
-                &SgSynthesisOptions {
-                    state_budget: 100,
-                    implicit_covers,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
+        let options = SgSynthesisOptions {
+            state_budget: 100,
+            ..Default::default()
+        };
+        let errors = [
+            synthesize_from_sg(&stg, &options).unwrap_err(),
+            StateGraph::build(&stg, options.state_budget).unwrap_err(),
+        ];
+        for err in errors {
             assert!(
                 matches!(
                     err,

@@ -2,6 +2,8 @@
 //! flow must agree with the SG-based baseline on every benchmark — same
 //! implementability verdict, functionally identical gates.
 
+mod common;
+
 use si_synth::stategraph::{
     check_csc, check_persistency, synthesize_from_sg, SgError, SgSynthesisOptions, StateGraph,
 };
@@ -109,10 +111,10 @@ fn three_flows_implement_the_same_functions() {
 }
 
 #[test]
-fn implicit_covers_are_byte_identical_to_explicit_minterms_across_the_suite() {
-    // The tentpole acceptance criterion: the implicit-cover SG baseline
-    // must produce gate equations byte-identical to the explicit-minterm
-    // path on the full suite plus the scalable generators.
+fn sg_flow_is_byte_identical_to_the_reference_across_the_suite() {
+    // The SG baseline runs on implicit covers; it must produce gate
+    // equations byte-identical to the explicit-minterm reference on the
+    // full suite plus the scalable generators.
     let mut specs = synthesisable();
     specs.push(generators::muller_pipeline(8));
     specs.push(generators::counterflow_pipeline(3));
@@ -120,25 +122,17 @@ fn implicit_covers_are_byte_identical_to_explicit_minterms_across_the_suite() {
     specs.push(generators::independent_cycles(8));
     specs.push(generators::sequencer(9));
     for stg in specs {
-        let implicit = synthesize_from_sg(&stg, &SgSynthesisOptions::default())
-            .unwrap_or_else(|e| panic!("{}: implicit failed: {e}", stg.name()));
-        let explicit = synthesize_from_sg(
-            &stg,
-            &SgSynthesisOptions {
-                implicit_covers: false,
-                ..SgSynthesisOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: explicit failed: {e}", stg.name()));
-        assert_eq!(implicit.gates.len(), explicit.gates.len());
-        for (a, b) in implicit.gates.iter().zip(&explicit.gates) {
-            assert_eq!(
-                a.equation(&stg),
-                b.equation(&stg),
-                "{}: implicit and explicit covers disagree",
-                stg.name()
-            );
-        }
+        let options = SgSynthesisOptions::default();
+        let library = synthesize_from_sg(&stg, &options)
+            .unwrap_or_else(|e| panic!("{}: library failed: {e}", stg.name()));
+        let reference = common::sg_reference(&stg, &options)
+            .unwrap_or_else(|e| panic!("{}: reference failed: {e}", stg.name()));
+        assert_eq!(
+            common::sg_equations(&stg, &library),
+            common::sg_equations(&stg, &reference),
+            "{}: library and reference covers disagree",
+            stg.name()
+        );
     }
 }
 

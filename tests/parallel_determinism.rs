@@ -3,6 +3,8 @@
 //! sequential (`workers = Some(1)`) path — and repeated runs must agree
 //! with each other (no hash-iteration order may leak into the output).
 
+mod common;
+
 use si_synth::stategraph::{
     synthesize_from_sg, synthesize_from_symbolic_sg, ReorderPolicy, SgEngine, SgSynthesisOptions,
     SymbolicSg,
@@ -10,7 +12,7 @@ use si_synth::stategraph::{
 use si_synth::stg::generators::{muller_pipeline, sequencer, wide_arbiter};
 use si_synth::stg::suite::{paper_fig4ab, request_mux, vme_read_csc, vme_read_no_csc};
 use si_synth::stg::Stg;
-use si_synth::synthesis::{synthesize_from_unfolding, SynthesisOptions};
+use si_synth::synthesis::{synthesize_from_unfolding, SynthesisOptions, UnfoldingSynthesis};
 
 fn sg_fingerprint(stg: &Stg, options: &SgSynthesisOptions) -> String {
     let result = synthesize_from_sg(stg, options).expect("synthesis succeeds");
@@ -23,6 +25,10 @@ fn sg_fingerprint(stg: &Stg, options: &SgSynthesisOptions) -> String {
 
 fn unfolding_fingerprint(stg: &Stg, options: &SynthesisOptions) -> String {
     let result = synthesize_from_unfolding(stg, options).expect("synthesis succeeds");
+    fingerprint_of(stg, &result)
+}
+
+fn fingerprint_of(stg: &Stg, result: &UnfoldingSynthesis) -> String {
     result
         .gates
         .iter()
@@ -73,35 +79,27 @@ fn sg_parallel_output_is_byte_identical_to_sequential() {
 
 #[test]
 fn unfolding_parallel_output_is_byte_identical_to_sequential() {
-    // In the default (approximate) mode the cover representation is a pure
-    // performance knob too: implicit diagrams and explicit cube lists must
-    // agree not just on the gates but on the full fingerprint (refined
-    // on/off covers included), at every worker count.
+    // In the default (approximate) mode every worker count must agree with
+    // the sequential explicit-cube reference not just on the gates but on
+    // the full fingerprint (refined on/off covers included).
     for stg in [muller_pipeline(4), paper_fig4ab(), vme_read_csc()] {
-        let sequential = unfolding_fingerprint(
-            &stg,
-            &SynthesisOptions {
-                workers: Some(1),
-                ..Default::default()
-            },
-        );
-        for implicit_covers in [true, false] {
-            for workers in [None, Some(2), Some(4)] {
-                let parallel = unfolding_fingerprint(
-                    &stg,
-                    &SynthesisOptions {
-                        workers,
-                        implicit_covers,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    sequential,
-                    parallel,
-                    "{}: workers={workers:?} implicit={implicit_covers} diverged from sequential",
-                    stg.name()
-                );
-            }
+        let reference = common::unfolding_reference(&stg, &SynthesisOptions::default())
+            .expect("reference succeeds");
+        let reference = fingerprint_of(&stg, &reference);
+        for workers in [Some(1), None, Some(2), Some(4)] {
+            let parallel = unfolding_fingerprint(
+                &stg,
+                &SynthesisOptions {
+                    workers,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(
+                reference,
+                parallel,
+                "{}: workers={workers:?} diverged from the reference",
+                stg.name()
+            );
         }
     }
 }
@@ -109,17 +107,16 @@ fn unfolding_parallel_output_is_byte_identical_to_sequential() {
 #[test]
 fn exact_mode_gates_are_identical_across_representations_and_workers() {
     // Exact mode stores its pre-minimisation covers in representation
-    // native form (disjoint diagram paths vs canonical minterms), so only
-    // the minimised gates — the actual output — are compared here.
+    // native form (disjoint diagram paths vs the reference's canonical
+    // minterms), so only the minimised gates — the actual output — are
+    // compared here.
     use si_synth::synthesis::CoverMode;
-    let gates = |stg: &Stg, implicit_covers: bool, workers| -> String {
-        let options = SynthesisOptions {
-            mode: CoverMode::Exact,
-            implicit_covers,
-            workers,
-            ..Default::default()
-        };
-        let result = synthesize_from_unfolding(stg, &options).expect("synthesis succeeds");
+    let options = |workers| SynthesisOptions {
+        mode: CoverMode::Exact,
+        workers,
+        ..Default::default()
+    };
+    let gates = |stg: &Stg, result: &UnfoldingSynthesis| -> String {
         result
             .gates
             .iter()
@@ -127,16 +124,18 @@ fn exact_mode_gates_are_identical_across_representations_and_workers() {
             .collect()
     };
     for stg in [muller_pipeline(4), paper_fig4ab(), vme_read_csc()] {
-        let sequential = gates(&stg, false, Some(1));
-        for implicit_covers in [true, false] {
-            for workers in [None, Some(2), Some(4)] {
-                assert_eq!(
-                    sequential,
-                    gates(&stg, implicit_covers, workers),
-                    "{}: workers={workers:?} implicit={implicit_covers} diverged",
-                    stg.name()
-                );
-            }
+        let reference =
+            common::unfolding_reference(&stg, &options(Some(1))).expect("reference succeeds");
+        let reference = gates(&stg, &reference);
+        for workers in [Some(1), None, Some(2), Some(4)] {
+            let result =
+                synthesize_from_unfolding(&stg, &options(workers)).expect("synthesis succeeds");
+            assert_eq!(
+                reference,
+                gates(&stg, &result),
+                "{}: workers={workers:?} diverged from the reference",
+                stg.name()
+            );
         }
     }
 }

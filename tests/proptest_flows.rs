@@ -9,6 +9,8 @@
 //! and synchronisation structures that are consistent and safe by
 //! construction.
 
+mod common;
+
 use proptest::prelude::*;
 use si_synth::stategraph::StateGraph;
 use si_synth::stg::{Polarity, SignalKind, Stg, StgBuilder};
@@ -146,50 +148,40 @@ proptest! {
 
     #[test]
     fn representation_and_workers_never_change_the_output(bp in blueprint()) {
-        // The cover representation (implicit diagrams vs explicit cube
-        // lists) and the worker count are pure performance knobs: every
-        // combination must produce byte-identical equations — or the same
-        // structured error — as the sequential explicit baseline.
+        // The worker count is a pure performance knob, and the library's
+        // implicit covers must match the explicit-cube reference: every
+        // worker count must produce byte-identical equations — or the
+        // same structured error — as the reference.
         let stg = build(&bp);
         for mode in [CoverMode::Approximate, CoverMode::Exact] {
-            let baseline = synthesize_from_unfolding(&stg, &SynthesisOptions {
+            let reference = common::unfolding_reference(&stg, &SynthesisOptions {
                 mode,
-                workers: Some(1),
-                implicit_covers: false,
                 ..SynthesisOptions::default()
             });
-            for implicit_covers in [false, true] {
-                for workers in [Some(1), Some(4)] {
-                    let other = synthesize_from_unfolding(&stg, &SynthesisOptions {
-                        mode,
-                        workers,
-                        implicit_covers,
-                        ..SynthesisOptions::default()
-                    });
-                    match (&baseline, &other) {
-                        (Ok(a), Ok(b)) => {
-                            let eq = |r: &si_synth::synthesis::UnfoldingSynthesis| -> Vec<String> {
-                                r.gates.iter().map(|g| g.equation(&stg)).collect()
-                            };
-                            prop_assert_eq!(
-                                eq(a), eq(b),
-                                "implicit={} workers={:?} changed the equations",
-                                implicit_covers, workers
-                            );
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(
-                            std::mem::discriminant(a), std::mem::discriminant(b),
-                            "implicit={} workers={:?} changed the error: {a} vs {b}",
-                            implicit_covers, workers
-                        ),
-                        (a, b) => {
-                            return Err(TestCaseError::fail(format!(
-                                "implicit={implicit_covers} workers={workers:?}: \
-                                 baseline={:?} other={:?}",
-                                a.as_ref().map(|r| r.literal_count()),
-                                b.as_ref().map(|r| r.literal_count())
-                            )));
-                        }
+            for workers in [Some(1), Some(4)] {
+                let other = synthesize_from_unfolding(&stg, &SynthesisOptions {
+                    mode,
+                    workers,
+                    ..SynthesisOptions::default()
+                });
+                match (&reference, &other) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(
+                        common::unfolding_equations(&stg, a),
+                        common::unfolding_equations(&stg, b),
+                        "workers={:?} changed the equations",
+                        workers
+                    ),
+                    (Err(a), Err(b)) => prop_assert_eq!(
+                        std::mem::discriminant(a), std::mem::discriminant(b),
+                        "workers={:?} changed the error: {a} vs {b}",
+                        workers
+                    ),
+                    (a, b) => {
+                        return Err(TestCaseError::fail(format!(
+                            "workers={workers:?}: reference={:?} library={:?}",
+                            a.as_ref().map(|r| r.literal_count()),
+                            b.as_ref().map(|r| r.literal_count())
+                        )));
                     }
                 }
             }

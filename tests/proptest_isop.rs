@@ -6,15 +6,18 @@
 //! extraction must land on the same canonical point set as the disjoint-cube
 //! translation path — the invariant that makes the two synthesis front ends
 //! byte-identical. The suite-level corollary is pinned here too: on every
-//! synthesisable STG, `CoverExtraction::Isop` and `CoverExtraction::Translate`
-//! produce byte-identical gate equations.
+//! synthesisable STG, minimising the ISOP-extracted sets gives the same gate
+//! equations as minimising the translated ones.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use si_synth::bdd::{Bdd, BddManager};
 use si_synth::cubes::implicit::ImplicitPool;
 use si_synth::cubes::Cube;
-use si_synth::stategraph::{synthesize_from_sg, CoverExtraction, SgEngine, SgSynthesisOptions};
+use si_synth::stategraph::{
+    check_implementable, synthesize_from_on_off_sets, synthesize_from_sg, SgEngine,
+    SgSynthesisOptions, SymbolicSg,
+};
 use si_synth::stg::suite::synthesisable;
 
 /// One step of a random function-building program. Operand indices address
@@ -195,29 +198,24 @@ proptest! {
 
 #[test]
 fn extraction_front_ends_agree_byte_for_byte_on_the_suite() {
-    // The whole-suite corollary of the property above: swapping the cover
-    // extraction front end must not move a single byte of any gate equation,
-    // because both front ends collapse to the same canonical point sets
-    // before the minimiser runs.
+    // The whole-suite corollary of the property above: the symbolic flow
+    // (ISOP extraction) and the same minimiser fed by the translation
+    // reference (`SymbolicSg::on_off_sets`) must not differ by a single
+    // byte of any gate equation, because both collapse to the same
+    // canonical point sets before the minimiser runs.
+    let options = SgSynthesisOptions {
+        engine: SgEngine::Symbolic,
+        ..Default::default()
+    };
     for stg in synthesisable() {
-        let isop = synthesize_from_sg(
-            &stg,
-            &SgSynthesisOptions {
-                engine: SgEngine::Symbolic,
-                extraction: CoverExtraction::Isop,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{} failed with isop: {e}", stg.name()));
-        let translate = synthesize_from_sg(
-            &stg,
-            &SgSynthesisOptions {
-                engine: SgEngine::Symbolic,
-                extraction: CoverExtraction::Translate,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{} failed with translate: {e}", stg.name()));
+        let isop = synthesize_from_sg(&stg, &options)
+            .unwrap_or_else(|e| panic!("{} failed with isop: {e}", stg.name()));
+        let sym = SymbolicSg::build(&stg, &options.symbolic_tuning())
+            .unwrap_or_else(|e| panic!("{}: symbolic build failed: {e}", stg.name()));
+        let signals = check_implementable(&stg).expect("no constant signal");
+        let translated = signals.iter().map(|&s| sym.on_off_sets(s)).collect();
+        let translate = synthesize_from_on_off_sets(&stg, translated, &options)
+            .unwrap_or_else(|e| panic!("{} failed with translation: {e}", stg.name()));
         assert_eq!(isop.gates.len(), translate.gates.len(), "{}", stg.name());
         for (a, b) in isop.gates.iter().zip(&translate.gates) {
             assert_eq!(a.equation(&stg), b.equation(&stg), "{}", stg.name());
